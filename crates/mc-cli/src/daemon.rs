@@ -21,7 +21,9 @@
 //!   count otherwise); the effective value is echoed back in the stats.
 //!   Worker count never affects report bytes, only latency. The result
 //!   carries the `mcheck-reports` envelope under `"reports"`, engine
-//!   counters under `"stats"`, and the batch exit code under `"exit"`.
+//!   counters under `"stats"` (units, re-checked and replayed functions,
+//!   confirmation replays run and answered from cache, jobs), and the
+//!   batch exit code under `"exit"`.
 //! * `invalidate` — drop the engine's in-memory memo tables (the disk
 //!   cache, if any, is untouched); the next check revalidates everything.
 //! * `subscribe` — register this connection for push diagnostics: after
@@ -252,6 +254,8 @@ fn do_check(state: &Arc<State>, params: Option<&Json>) -> Result<Json, String> {
                     "functions_replayed",
                     Json::Int(stats.functions_replayed as i64),
                 ),
+                ("replays_run", Json::Int(stats.replays_run as i64)),
+                ("replays_cached", Json::Int(stats.replays_cached as i64)),
                 ("jobs", Json::Int(effective_jobs as i64)),
             ]),
         ),

@@ -21,9 +21,7 @@
 
 use mc_checkers::flash::FlashSpec;
 use mc_driver::cache::DiskCache;
-use mc_driver::{
-    CheckEngine, Driver, Invalidation, MetalEngine, Report, RunStats, Severity, Verdict,
-};
+use mc_driver::{CheckEngine, Driver, Invalidation, MetalEngine, Report, RunStats, Severity};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -555,36 +553,88 @@ pub fn engine_for(opts: &Options) -> Result<CheckEngine, CliError> {
     Ok(engine)
 }
 
-/// One engine-backed check of `sources` with the same post-processing as
-/// [`run`]: metal load diagnostics folded in, confirmed-verdict promotion,
-/// confidence ordering, then the refuted and suppressed partitions.
-/// Returns the reports to show plus the suppressed count, the refuted
-/// count, and the engine's [`RunStats`]. Shared by the watch loop and the
-/// `mcheckd` daemon so every client surface agrees byte-for-byte with a
-/// batch run.
+/// The engine a one-shot run uses: disk-backed under `--cache-dir`, none
+/// (the batch driver) otherwise.
+fn one_shot_engine(opts: &Options) -> Result<Option<CheckEngine>, CliError> {
+    let cached = opts.cache_dir.is_some() && !opts.no_cache;
+    cached.then(|| engine_for(opts)).transpose()
+}
+
+/// Checks `sources` through `engine`, or through the batch driver when
+/// there is none, folds in the metal load-time diagnostics as ordinary
+/// warning reports, and orders everything by confidence. Refuted and
+/// suppressed reports are kept.
+fn check(
+    driver: &Driver,
+    engine: Option<&mut CheckEngine>,
+    sources: &[(String, String)],
+) -> Result<(Vec<Report>, RunStats), CliError> {
+    let (mut reports, stats) = match engine {
+        Some(engine) => engine.check_sources(driver, sources),
+        None => driver
+            .check_sources(sources)
+            .map(|r| (r, RunStats::default())),
+    }
+    .map_err(|e| CliError(e.to_string()))?;
+    reports.extend(driver.metal_load_diagnostics());
+    Report::sort_by_confidence(&mut reports);
+    Ok((reports, stats))
+}
+
+/// What one check shows its user.
+struct Shown {
+    /// Reports to render, most likely real first.
+    reports: Vec<Report>,
+    suppressed: usize,
+    refuted: usize,
+    stats: RunStats,
+    /// Every file a report may point at: the inputs, then the metal
+    /// checker files (load-time warnings point into those).
+    sources: Vec<(String, String)>,
+}
+
+/// The post-processing pipeline every client surface runs — `mcheck`,
+/// `--watch` and `mcheckd` — so they agree byte for byte: [`check`], then
+/// drop the reports refutation demoted and apply `// mc-suppress:`
+/// comments from the inputs and from the checker files the driver
+/// compiled.
+fn shown_reports(
+    driver: &Driver,
+    engine: Option<&mut CheckEngine>,
+    sources: Vec<(String, String)>,
+) -> Result<Shown, CliError> {
+    let (reports, stats) = check(driver, engine, &sources)?;
+    let (reports, refuted) = partition_refuted(reports);
+    let mut sources = sources;
+    sources.extend(driver.checker_sources());
+    let (reports, suppressed) = partition_suppressed(reports, &sources);
+    Ok(Shown {
+        reports,
+        suppressed,
+        refuted,
+        stats,
+        sources,
+    })
+}
+
+/// One engine-backed check of `sources` through the post-processing every
+/// client surface shares. Returns the reports to show plus the suppressed
+/// count, the refuted count, and the engine's [`RunStats`]. The `mcheckd`
+/// daemon calls this. `_opts` is unused: the driver already holds
+/// everything the options contribute, its checker files included.
 pub fn checked_reports(
     driver: &Driver,
     engine: &mut CheckEngine,
-    opts: &Options,
+    _opts: &Options,
     sources: &[(String, String)],
 ) -> Result<(Vec<Report>, usize, usize, RunStats), CliError> {
-    let (mut reports, stats) = engine
-        .check_sources(driver, sources)
-        .map_err(|e| CliError(e.to_string()))?;
-    reports.extend(driver.metal_load_diagnostics());
-    if opts.refute {
-        promote_confirmed(&mut reports, sources);
-    }
-    Report::sort_by_confidence(&mut reports);
-    let (reports, refuted) = partition_refuted(reports);
-    let mut supp_sources = sources.to_vec();
-    supp_sources.extend(read_sources(&opts.checkers)?);
-    let (reports, suppressed) = partition_suppressed(reports, &supp_sources);
-    Ok((reports, suppressed, refuted, stats))
+    let shown = shown_reports(driver, Some(engine), sources.to_vec())?;
+    Ok((shown.reports, shown.suppressed, shown.refuted, shown.stats))
 }
 
-/// Executes the parsed options. Returns the reports (empty for
-/// `--emit-corpus` runs) so `main` can set the exit code.
+/// Executes the parsed options. Returns every report (empty for
+/// `--emit-corpus` runs), refuted and suppressed ones included, in
+/// confidence order, so `main` can set the exit code.
 ///
 /// A run with `--cache-dir` goes through the incremental [`CheckEngine`];
 /// reports are byte-identical to an uncached run either way.
@@ -597,56 +647,10 @@ pub fn run(opts: &Options) -> Result<Vec<Report>, CliError> {
         emit_corpus(dir, opts.seed, opts.scale)?;
         return Ok(Vec::new());
     }
-
     let driver = build_driver(opts)?;
     let sources = read_sources(&opts.files)?;
-    let mut reports = if opts.cache_dir.is_some() && !opts.no_cache {
-        let mut engine = engine_for(opts)?;
-        engine
-            .check_sources(&driver, &sources)
-            .map_err(|e| CliError(e.to_string()))?
-            .0
-    } else {
-        driver
-            .check_sources(&sources)
-            .map_err(|e| CliError(e.to_string()))?
-    };
-    // Load-time diagnostics from compiling the metal programs (unreachable
-    // states, shadowed rules, ...) ride along as ordinary warning reports.
-    reports.extend(driver.metal_load_diagnostics());
-    if opts.refute {
-        promote_confirmed(&mut reports, &sources);
-    }
-    Report::sort_by_confidence(&mut reports);
-    Ok(reports)
-}
-
-/// Promotes `sat` reports to `confirmed` by replaying each one's solver
-/// model concretely in the simulator ([`mc_sim::replay`]). Promotion nudges
-/// confidence up rather than pinning it, so the paper's ranking heuristics
-/// (NAK paths, debug-guarded code) still order confirmed reports among
-/// themselves.
-///
-/// Replay needs the checked sources as an executable program; files the
-/// simulator's handler subset cannot parse (or checkers with no dynamic
-/// manifestation) simply leave their reports at `sat` — promotion is
-/// strictly best-effort and never demotes.
-fn promote_confirmed(reports: &mut [Report], sources: &[(String, String)]) {
-    if !reports.iter().any(|r| r.verdict == Verdict::Sat) {
-        return;
-    }
-    let Ok(program) = mc_sim::Program::from_sources(sources) else {
-        return;
-    };
-    for r in reports.iter_mut() {
-        if r.verdict != Verdict::Sat || !mc_sim::replayable_checker(&r.checker) {
-            continue;
-        }
-        if mc_sim::replay(program.clone(), &r.checker, &r.function, &r.model) {
-            r.verdict = Verdict::Confirmed;
-            r.confidence = r.confidence.saturating_add(10).min(100);
-        }
-    }
+    let mut engine = one_shot_engine(opts)?;
+    Ok(check(&driver, engine.as_mut(), &sources)?.0)
 }
 
 /// A watched file's last observed state: its stat signature (cheap to
@@ -717,38 +721,24 @@ pub fn run_watch(opts: &Options, out: &mut dyn std::io::Write) -> Result<(), Cli
     let interval = std::time::Duration::from_millis(opts.watch_interval_ms.max(1));
     let mut cycles = 0usize;
     let mut snaps: Vec<FileSnap> = opts.files.iter().map(|f| snap_of(f)).collect();
-    // Suppression comments are honored wherever a report can point,
-    // including the metal checker files themselves (load-time validation
-    // warnings are reported against the checker's own source). The checker
-    // files are read once, like build_driver does.
-    let checker_sources = read_sources(&opts.checkers)?;
     loop {
         match read_sources(&opts.files) {
-            Ok(sources) => match engine.check_sources(&driver, &sources) {
-                Ok((mut reports, stats)) => {
-                    reports.extend(driver.metal_load_diagnostics());
-                    if opts.refute {
-                        promote_confirmed(&mut reports, &sources);
-                    }
-                    Report::sort_by_confidence(&mut reports);
-                    let (reports, refuted) = partition_refuted(reports);
-                    let mut supp_sources = sources.clone();
-                    supp_sources.extend(checker_sources.iter().cloned());
-                    let (reports, suppressed) = partition_suppressed(reports, &supp_sources);
+            Ok(sources) => match shown_reports(&driver, Some(&mut engine), sources) {
+                Ok(shown) => {
                     let _ = writeln!(
                         out,
                         "[watch] checked {} file(s) ({} re-checked, {} replayed): {} report(s)",
-                        stats.units,
-                        stats.units_checked,
-                        stats.units - stats.units_checked,
-                        reports.len()
+                        shown.stats.units,
+                        shown.stats.units_checked,
+                        shown.stats.units - shown.stats.units_checked,
+                        shown.reports.len()
                     );
                     render(
                         opts.format,
-                        &reports,
-                        &supp_sources,
-                        suppressed,
-                        refuted,
+                        &shown.reports,
+                        &shown.sources,
+                        shown.suppressed,
+                        shown.refuted,
                         out,
                     );
                 }
@@ -818,20 +808,20 @@ pub fn run_full(
     if let Some((si, sn)) = opts.shard {
         return run_shard(opts, si, sn, err);
     }
+    let driver = build_driver(opts)?;
     if opts.merge {
-        let driver = build_driver(opts)?;
         let shards = validate_shard_manifests(opts, &driver)?;
         let _ = writeln!(err, "merge: folding {shards} shard manifest(s)");
     }
-    let reports = run(opts)?;
     let sources = read_sources(&opts.files)?;
-    let (reports, refuted) = partition_refuted(reports);
-    // Suppression comments are honored wherever a report can point,
-    // including the metal checker files themselves (load-time validation
-    // warnings are reported against the checker's own source).
-    let mut supp_sources = sources.clone();
-    supp_sources.extend(read_sources(&opts.checkers)?);
-    let (mut reports, suppressed) = partition_suppressed(reports, &supp_sources);
+    let mut engine = one_shot_engine(opts)?;
+    let Shown {
+        mut reports,
+        suppressed,
+        refuted,
+        sources,
+        ..
+    } = shown_reports(&driver, engine.as_mut(), sources)?;
     let mut exit = u8::from(!reports.is_empty());
     if let Some(path) = &opts.baseline {
         match apply_baseline(path, &mut reports)? {
@@ -853,14 +843,7 @@ pub fn run_full(
             }
         }
     }
-    render(
-        opts.format,
-        &reports,
-        &supp_sources,
-        suppressed,
-        refuted,
-        out,
-    );
+    render(opts.format, &reports, &sources, suppressed, refuted, out);
     if !reports.is_empty() && opts.format == Format::Text {
         let errors = reports
             .iter()
@@ -1029,6 +1012,7 @@ fn emit_corpus(dir: &std::path::Path, seed: u64, scale: usize) -> Result<(), Cli
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc_driver::Verdict;
 
     fn args(s: &[&str]) -> Result<Options, CliError> {
         parse_args(s.iter().map(|s| s.to_string()))

@@ -352,3 +352,139 @@ fn watch_through_daemon_socket_prints_daemon_reports() {
     assert!(text.contains("wait_for_db"), "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Confirmation replay is cached per call-graph component: after a
+/// one-function body edit in dyn_ptr, the daemon replays exactly the
+/// distinct `sat` witnesses of the edited unit's component and answers
+/// every other component's from cache; a fresh daemon over the same cache
+/// directory replays nothing.
+#[test]
+fn dyn_ptr_edit_replays_only_its_component() {
+    let (dir, socket) = scratch("replays");
+    let protos: Vec<_> = mc_corpus::generate_fleet(mc_corpus::DEFAULT_SEED, 1)
+        .into_iter()
+        .filter(|p| p.name == "dyn_ptr" || p.name == "common")
+        .collect();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, mc_json::to_string_pretty(&protos[0].spec)).unwrap();
+    let mut files: Vec<PathBuf> = Vec::new();
+    for f in protos.iter().flat_map(|p| &p.files) {
+        let path = dir.join(&f.name);
+        std::fs::write(&path, &f.source).unwrap();
+        files.push(path.canonicalize().unwrap());
+    }
+    let cache = dir.join("cache");
+    let serve = || {
+        Command::new(MCHECKD)
+            .args(["serve", "--socket"])
+            .arg(&socket)
+            .args(["--builtin", "--spec"])
+            .arg(&spec)
+            .arg("--cache-dir")
+            .arg(&cache)
+            .args(&files)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap()
+    };
+    let check = || -> Json {
+        let conn = connect_with_retry(&socket);
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut conn = conn;
+        writeln!(conn, r#"{{"id": 1, "method": "check"}}"#).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp = Json::parse(line.trim()).unwrap();
+        resp.get("result").cloned().expect("check succeeds")
+    };
+    let stat = |result: &Json, name: &str| -> i64 {
+        result
+            .get("stats")
+            .and_then(|s| s.get(name))
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("stats.{name} in {result:?}"))
+    };
+
+    // A body-only edit: one local declaration before the first statement
+    // of the first dyn_ptr function that has one on a line of its own.
+    let edited = files
+        .iter()
+        .position(|f| f.to_string_lossy().contains("dyn_ptr"))
+        .unwrap();
+    let text = std::fs::read_to_string(&files[edited]).unwrap();
+    let tu = mc_ast::parse_translation_unit(&text, "e.c").unwrap();
+    let line = tu
+        .functions()
+        .find_map(|f| {
+            let first = f.body.first()?;
+            (first.span.line > f.span.line).then_some(first.span.line as usize)
+        })
+        .unwrap();
+    let mut new_text = String::new();
+    for (i, l) in text.split_inclusive('\n').enumerate() {
+        if i + 1 == line {
+            new_text.push_str("    int mc_replay_edit = 1;\n");
+        }
+        new_text.push_str(l);
+    }
+
+    let mut daemon = serve();
+    let cold = check();
+    assert!(stat(&cold, "replays_run") > 0);
+    std::fs::write(&files[edited], &new_text).unwrap();
+    let after = check();
+    shutdown(&socket);
+    let _ = daemon.wait();
+
+    // The distinct replays each component calls for, from the reports.
+    let sources: Vec<_> = files
+        .iter()
+        .map(|f| {
+            let text = std::fs::read_to_string(f).unwrap();
+            mc_ast::parse_translation_unit(&text, &f.display().to_string()).unwrap()
+        })
+        .collect();
+    let infos: Vec<_> = sources.iter().map(mc_driver::call_info).collect();
+    let mut comp_of_file = std::collections::HashMap::new();
+    let comps = mc_driver::call_components(&infos);
+    for (c, comp) in comps.iter().enumerate() {
+        for &i in comp {
+            comp_of_file.insert(files[i].display().to_string(), c);
+        }
+    }
+    let mut keys = std::collections::BTreeSet::new();
+    for r in after
+        .get("reports")
+        .and_then(|e| e.get("reports"))
+        .and_then(Json::as_array)
+        .unwrap()
+    {
+        let field = |n: &str| r.get(n).and_then(Json::as_str).unwrap().to_string();
+        let verdict = field("verdict");
+        if (verdict == "sat" || verdict == "confirmed")
+            && mc_sim::replayable_checker(&field("checker"))
+        {
+            let comp = comp_of_file[&field("file")];
+            let model = r.get("model").unwrap().to_compact();
+            keys.insert((comp, field("checker"), field("function"), model));
+        }
+    }
+    let edited_comp = comp_of_file[&files[edited].display().to_string()];
+    let own = keys.iter().filter(|k| k.0 == edited_comp).count() as i64;
+    assert!(
+        own > 0 && own < keys.len() as i64,
+        "{own} of {}",
+        keys.len()
+    );
+    assert_eq!(stat(&after, "replays_run"), own);
+    assert_eq!(stat(&after, "replays_cached"), keys.len() as i64 - own);
+
+    let mut daemon = serve();
+    let warm = check();
+    shutdown(&socket);
+    let _ = daemon.wait();
+    assert_eq!(stat(&warm, "replays_run"), 0, "warm from disk");
+    assert_eq!(warm.get("reports"), after.get("reports"));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,7 +3,8 @@
 //! Every record is one mc-json document in one file under the cache
 //! directory, named after the content-addressed key it answers
 //! (`usrc-<key>.json`, `uast-<key>.json`, `comp-<key>.json`,
-//! `sumy-<key>.json`, `prog-<key>.json`). Keys already fold the driver's
+//! `sumy-<key>.json`, `cnfm-<key>.json`, `prog-<key>.json`, and the
+//! file-addressed `fnidx-<key>.json`). Keys already fold the driver's
 //! [`suite_key`](crate::Driver::suite_key), so one directory can be shared
 //! by different checker suites, configurations, and crate versions without
 //! cross-talk.
@@ -64,7 +65,8 @@ fn check_tag(v: &Json, kind: &str) -> Result<(), JsonError> {
 /// including every node span — hit when only layout that displaces no
 /// token changed). `defines`/`calls` are the unit's [`CallInfo`]
 /// (`crate::call_info`), stored so the engine can rebuild the unit-level
-/// call graph without re-parsing clean units.
+/// call graph without re-parsing clean units; `constants` likewise lets it
+/// rebuild the run-wide constant table confirmation replay reads.
 ///
 /// [`CallInfo`]: crate::CallInfo
 #[derive(Debug, Clone, PartialEq)]
@@ -85,9 +87,36 @@ pub struct UnitRecord {
     pub defines: Vec<String>,
     /// Function names the unit calls, sorted.
     pub calls: Vec<String>,
+    /// The unit's constant declarations in declaration order
+    /// ([`mc_sim::constant_decls`]).
+    pub constants: Vec<(String, i64)>,
     /// The unit's local diagnostics, in `(function, checker)` order,
-    /// exactly as a cold run produces them.
+    /// exactly as a cold run produces them — before confirmation replay,
+    /// which depends on the whole run's constants.
     pub reports: Vec<Report>,
+}
+
+fn pairs_to_json(pairs: &[(String, i64)]) -> Json {
+    Json::Array(
+        pairs
+            .iter()
+            .map(|(name, value)| {
+                object(vec![
+                    ("name", Json::Str(name.clone())),
+                    ("value", Json::Int(*value)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+fn pairs_from_json(v: &Json, name: &str) -> Result<Vec<(String, i64)>, JsonError> {
+    v.get(name)
+        .and_then(|a| a.as_array())
+        .ok_or_else(|| JsonError::expected("array of name/value pairs"))?
+        .iter()
+        .map(|p| Ok((field(p, "name")?, field(p, "value")?)))
+        .collect()
 }
 
 impl ToJson for UnitRecord {
@@ -100,6 +129,7 @@ impl ToJson for UnitRecord {
             ("summary_key", Json::Str(key_hex(self.summary_key))),
             ("defines", self.defines.to_json()),
             ("calls", self.calls.to_json()),
+            ("constants", pairs_to_json(&self.constants)),
             ("reports", self.reports.to_json()),
         ])
     }
@@ -114,6 +144,7 @@ impl FromJson for UnitRecord {
             summary_key: key_from_json(v, "summary_key")?,
             defines: field(v, "defines")?,
             calls: field(v, "calls")?,
+            constants: pairs_from_json(v, "constants")?,
             reports: field(v, "reports")?,
         })
     }
@@ -243,6 +274,86 @@ impl FromJson for SummaryRecord {
         Ok(SummaryRecord {
             key: key_from_json(v, "key")?,
             summaries,
+        })
+    }
+}
+
+/// The inputs of one confirmation replay besides the simulator program:
+/// which checker's dynamic event to watch for, in which handler, under
+/// which solver model.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ReplayKey {
+    /// Checker whose event class the replay watches for.
+    pub checker: String,
+    /// Handler the replay injects.
+    pub function: String,
+    /// Initial global values, sorted by name.
+    pub model: Vec<(String, i64)>,
+}
+
+/// The confirmation replay outcomes of one call-graph component.
+///
+/// Keyed by the suite key, the component key, the members' input order,
+/// and the fingerprint of the run's constant table: replay runs on a
+/// program lowered from the component's units, but resolves enum and
+/// `const` globals from every unit of the run, so a constant edit in an
+/// unrelated component must miss.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConfirmRecord {
+    /// Key folding the suite, component, member order and constant table.
+    pub key: u64,
+    /// Every replay the component's reports call for with whether it
+    /// reproduced, sorted by key.
+    pub outcomes: Vec<(ReplayKey, bool)>,
+}
+
+impl ToJson for ConfirmRecord {
+    fn to_json(&self) -> Json {
+        let outcomes = self
+            .outcomes
+            .iter()
+            .map(|(k, hit)| {
+                object(vec![
+                    ("checker", Json::Str(k.checker.clone())),
+                    ("function", Json::Str(k.function.clone())),
+                    ("model", pairs_to_json(&k.model)),
+                    ("confirmed", Json::Bool(*hit)),
+                ])
+            })
+            .collect();
+        object(vec![
+            ("kind", Json::Str("confirm".into())),
+            ("version", CACHE_FORMAT_VERSION.to_json()),
+            ("key", Json::Str(key_hex(self.key))),
+            ("outcomes", Json::Array(outcomes)),
+        ])
+    }
+}
+
+impl FromJson for ConfirmRecord {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        check_tag(v, "confirm")?;
+        let outcomes = v
+            .get("outcomes")
+            .and_then(|o| o.as_array())
+            .ok_or_else(|| JsonError::expected("outcomes array"))?
+            .iter()
+            .map(|o| {
+                let key = ReplayKey {
+                    checker: field(o, "checker")?,
+                    function: field(o, "function")?,
+                    model: pairs_from_json(o, "model")?,
+                };
+                Ok((key, field(o, "confirmed")?))
+            })
+            .collect::<Result<Vec<_>, JsonError>>()?;
+        // Lookups binary-search the outcomes; an unsorted record is corrupt.
+        if !outcomes.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(JsonError::expected("outcomes sorted by key"));
+        }
+        Ok(ConfirmRecord {
+            key: key_from_json(v, "key")?,
+            outcomes,
         })
     }
 }
@@ -706,6 +817,17 @@ impl DiskCache {
         self.store(self.path("sumy", rec.key), &mc_json::to_string(rec));
     }
 
+    /// Looks up a component's confirmation replay outcomes.
+    pub fn load_confirm(&self, key: u64) -> Option<ConfirmRecord> {
+        let rec: ConfirmRecord = self.load("cnfm", key)?;
+        (rec.key == key).then_some(rec)
+    }
+
+    /// Stores a component's confirmation replay outcomes.
+    pub fn store_confirm(&self, rec: &ConfirmRecord) {
+        self.store(self.path("cnfm", rec.key), &mc_json::to_string(rec));
+    }
+
     /// Looks up a file's per-function dependency index, distinguishing a
     /// missing record from a corrupt one so the engine can surface the
     /// latter as a stat.
@@ -748,6 +870,7 @@ mod tests {
             summary_key: 0,
             defines: vec!["NILocalGet".into(), "helper".into()],
             calls: vec!["NI_SEND".into(), "helper".into()],
+            constants: vec![("MSG_GET".into(), 3), ("gLimit".into(), -1)],
             reports: vec![Report::error(
                 "lanes",
                 "p.c",
@@ -766,6 +889,26 @@ mod tests {
         assert_eq!(rec, back);
         // Keys above i64::MAX survive (they are hex strings, not numbers).
         assert!(text.contains("deadbeefdeadbeef"));
+    }
+
+    #[test]
+    fn confirm_record_roundtrip_exact_and_rejects_unsorted_outcomes() {
+        let key = |function: &str| ReplayKey {
+            checker: "wait_for_db".into(),
+            function: function.into(),
+            model: vec![("gLen".into(), i64::MIN), ("gMode".into(), 1)],
+        };
+        let rec = ConfirmRecord {
+            key: 0xc0ff_ee00_c0ff_ee00,
+            outcomes: vec![(key("NIGet"), true), (key("PIPut"), false)],
+        };
+        let text = mc_json::to_string(&rec);
+        let back: ConfirmRecord = mc_json::from_str(&text).unwrap();
+        assert_eq!(rec, back);
+        // Lookups binary-search the outcomes, so an unsorted record must
+        // load as a miss rather than answer wrongly.
+        let swapped = text.replace("NIGet", "ZZZ");
+        assert!(mc_json::from_str::<ConfirmRecord>(&swapped).is_err());
     }
 
     #[test]

@@ -92,6 +92,9 @@ pub struct CheckedUnit {
     /// Lazily-computed unit environment hash: non-function items plus the
     /// unit's written-global set (see [`CheckedUnit::env_fp`]).
     env_fp: OnceLock<u64>,
+    /// Lazily-computed constant declarations (see
+    /// [`CheckedUnit::constants`]).
+    constants: OnceLock<Vec<(String, i64)>>,
 }
 
 impl CheckedUnit {
@@ -104,6 +107,7 @@ impl CheckedUnit {
             fn_fps: OnceLock::new(),
             fn_calls: OnceLock::new(),
             env_fp: OnceLock::new(),
+            constants: OnceLock::new(),
         }
     }
 
@@ -127,6 +131,14 @@ impl CheckedUnit {
     pub fn fn_call_names(&self) -> &[Vec<String>] {
         self.fn_calls
             .get_or_init(|| self.unit.functions().map(mc_cfg::collect_calls).collect())
+    }
+
+    /// The unit's enum and integer-initialized global declarations, in
+    /// declaration order — its contribution to the run-wide constant table
+    /// confirmation replay resolves names against.
+    pub fn constants(&self) -> &[(String, i64)] {
+        self.constants
+            .get_or_init(|| mc_sim::constant_decls(&self.unit))
     }
 
     /// The unit's *environment* hash: everything outside function bodies
@@ -404,16 +416,22 @@ pub(crate) struct UnitLocal {
 /// counts, and recorded dependency edges); unit records are unchanged in
 /// shape but are now assembled from per-function slices, so mixing them
 /// with v6 records could replay stale per-function state.
-pub const CACHE_FORMAT_VERSION: u32 = 7;
+///
+/// v8: confirmation replay moved into the engine. Program records hold
+/// reports after promotion to `confirmed`, unit records carry their
+/// constant declarations, and per-component `confirm` records hold replay
+/// outcomes; a v7 program record would replay without promotions.
+pub const CACHE_FORMAT_VERSION: u32 = 8;
 
 /// The analysis driver: a set of checkers plus traversal settings.
 pub struct Driver {
     metal: Vec<MetalProgram>,
     /// Decision-program lowering of each entry of `metal`, index-aligned.
     compiled: Vec<CompiledProgram>,
-    /// Where each metal program came from (a `--checker` file path), when
-    /// known; used to locate load-time diagnostics.
-    metal_origins: Vec<Option<String>>,
+    /// Where each metal program came from, when known, as `(source,
+    /// origin path)`: load-time diagnostics point at the origin, and
+    /// suppression comments are read from the source.
+    metal_origins: Vec<Option<(String, String)>>,
     metal_engine: MetalEngine,
     native: Vec<Box<dyn Checker>>,
     /// Path traversal mode used for metal machines.
@@ -523,7 +541,10 @@ impl Driver {
     /// condition is UNSAT are demoted to [`crate::Verdict::Refuted`]
     /// (confidence 0), satisfiable witnesses record a replayable solver
     /// model. Unknown constraints never refute — a report only drops when
-    /// its path provably cannot execute.
+    /// its path provably cannot execute. Each model is then replayed in
+    /// the `mc-sim` interpreter, once per call-graph component; reports
+    /// whose violation reproduces are promoted to
+    /// [`crate::Verdict::Confirmed`].
     pub fn refute(&mut self, on: bool) -> &mut Self {
         self.refute = on;
         self
@@ -644,13 +665,13 @@ impl Driver {
         src: &str,
         origin: &str,
     ) -> Result<&mut Self, DriverError> {
-        self.add_metal_source_impl(src, Some(origin.to_string()))
+        self.add_metal_source_impl(src, Some((src.to_string(), origin.to_string())))
     }
 
     fn add_metal_source_impl(
         &mut self,
         src: &str,
-        origin: Option<String>,
+        origin: Option<(String, String)>,
     ) -> Result<&mut Self, DriverError> {
         let prog = MetalProgram::parse(src)?;
         self.suite.write_str("metal-src:");
@@ -676,6 +697,14 @@ impl Driver {
         self.metal_engine
     }
 
+    /// The `(source, origin path)` of every metal checker registered via
+    /// [`Driver::add_metal_source_from`], in registration order: the text
+    /// the driver compiled, so `// mc-suppress:` comments in checker files
+    /// are honored without reading the files again.
+    pub fn checker_sources(&self) -> Vec<(String, String)> {
+        self.metal_origins.iter().flatten().cloned().collect()
+    }
+
     /// Load-time diagnostics from lowering the registered metal programs:
     /// unreachable states, shadowed rules, unbound `%wildcard`
     /// interpolations, and unmatchable patterns, rendered as
@@ -686,7 +715,7 @@ impl Driver {
         let mut reports = Vec::new();
         for (i, cp) in self.compiled.iter().enumerate() {
             let file = match &self.metal_origins[i] {
-                Some(origin) => origin.clone(),
+                Some((_, origin)) => origin.clone(),
                 None => format!("<metal:{}>", cp.name()),
             };
             for diag in cp.diagnostics() {
@@ -816,7 +845,8 @@ impl Driver {
     /// Checks a set of `(source, file-name)` pairs as one program.
     ///
     /// All per-function checks run first (metal and native), then each
-    /// native checker's whole-program pass.
+    /// native checker's whole-program pass, then confirmation replay (see
+    /// [`Driver::check_units`]).
     ///
     /// # Errors
     ///
@@ -1104,10 +1134,11 @@ impl Driver {
     /// Functions are tagged with their `(unit, function)` index, fanned out
     /// over the worker pool, and the per-function outputs are merged back
     /// in index order — so the final report vector does not depend on the
-    /// worker count or on scheduling. Program passes then run once per
-    /// call-graph component (see [`call_components`]), exactly as the
-    /// incremental engine re-runs them, so batch and cached runs produce
-    /// byte-identical reports.
+    /// worker count or on scheduling. Program passes and, under
+    /// [`Driver::refute`], confirmation replay then run once per call-graph
+    /// component (see [`call_components`]), exactly as the incremental
+    /// engine re-runs them, so batch and cached runs produce byte-identical
+    /// reports.
     pub fn check_units(&self, units: &[CheckedUnit]) -> Vec<Report> {
         let refs: Vec<&CheckedUnit> = units.iter().collect();
         // One store over the whole batch: summaries are per-function and
@@ -1127,23 +1158,28 @@ impl Driver {
         };
         let mut locals = self.run_local_passes(&refs, local_summaries);
 
+        let infos: Vec<CallInfo> = refs.iter().map(|u| call_info(&u.unit)).collect();
+        let consts = self
+            .refute
+            .then(|| crate::confirm::ConstTable::new(refs.iter().map(|u| u.constants())));
         let mut reports = Vec::new();
-        for local in &mut locals {
-            reports.append(&mut local.reports);
-        }
-
-        if self.has_program_checkers() {
-            let infos: Vec<CallInfo> = refs.iter().map(|u| call_info(&u.unit)).collect();
-            for comp in call_components(&infos) {
-                let members: Vec<&CheckedUnit> = comp.iter().map(|&i| refs[i]).collect();
-                let mut facts: Vec<Vec<Fact>> = self.native.iter().map(|_| Vec::new()).collect();
-                for &i in &comp {
-                    for (ci, f) in locals[i].facts.iter_mut().enumerate() {
-                        facts[ci].append(f);
-                    }
+        for comp in call_components(&infos) {
+            let members: Vec<&CheckedUnit> = comp.iter().map(|&i| refs[i]).collect();
+            let mut comp_reports: Vec<Report> = Vec::new();
+            let mut facts: Vec<Vec<Fact>> = self.native.iter().map(|_| Vec::new()).collect();
+            for &i in &comp {
+                comp_reports.append(&mut locals[i].reports);
+                for (ci, f) in locals[i].facts.iter_mut().enumerate() {
+                    facts[ci].append(f);
                 }
-                reports.extend(self.run_program_passes(&members, facts, summaries.as_ref()));
             }
+            if self.has_program_checkers() {
+                comp_reports.extend(self.run_program_passes(&members, facts, summaries.as_ref()));
+            }
+            if let Some(consts) = &consts {
+                self.confirm_component(&members, consts, &mut comp_reports, &[]);
+            }
+            reports.append(&mut comp_reports);
         }
         reports.sort();
         reports.dedup();
@@ -1639,7 +1675,8 @@ mod tests {
         d.refute(true);
         let reports = d.check_source(src, "h.c").unwrap();
         assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].verdict, crate::Verdict::Sat);
+        // The model drives the simulator into the raw read: confirmed.
+        assert_eq!(reports[0].verdict, crate::Verdict::Confirmed);
         let gl = reports[0]
             .model
             .iter()
@@ -1682,7 +1719,9 @@ mod tests {
         assert!(sequential
             .iter()
             .any(|r| r.verdict == crate::Verdict::Refuted));
-        assert!(sequential.iter().any(|r| r.verdict == crate::Verdict::Sat));
+        assert!(sequential
+            .iter()
+            .any(|r| r.verdict == crate::Verdict::Confirmed));
         for jobs in [4, 8] {
             assert_eq!(run(jobs), sequential, "jobs={jobs}");
         }

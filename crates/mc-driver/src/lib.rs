@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod confirm;
 mod driver;
 mod query;
 mod refute;

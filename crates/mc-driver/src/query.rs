@@ -32,7 +32,10 @@
 //! 4. **Component** — program passes re-run per call-graph component
 //!    whenever any member unit changed (see
 //!    [`call_components`](crate::call_components)); clean components replay
-//!    their cached reports.
+//!    their cached reports. Confirmation replay of `sat` reports is
+//!    per component too, keyed additionally by the run's constant table
+//!    ([`ConfirmRecord`]): a body edit replays only its own component,
+//!    a constant edit every component with something to replay.
 //!
 //! [`Fact`]s are opaque `Any` values and are never cached: when a dirty
 //! component contains clean units, those units' facts are regenerated with
@@ -50,9 +53,10 @@
 //! [`RunStats::fn_index_corrupt`].
 
 use crate::cache::{
-    summary_content_hash, ComponentRecord, DiskCache, FnEntry, FnIndexLoad, FnIndexRecord,
-    ProgramRecord, SummaryRecord, UnitRecord,
+    summary_content_hash, ComponentRecord, ConfirmRecord, DiskCache, FnEntry, FnIndexLoad,
+    FnIndexRecord, ProgramRecord, SummaryRecord, UnitRecord,
 };
+use crate::confirm::ConstTable;
 use crate::driver::{
     call_components, call_info, CallInfo, CheckedUnit, Driver, DriverError, Fact, UnitLocal,
 };
@@ -163,6 +167,13 @@ pub struct RunStats {
     /// Dirty units this shard left for other shards (or for writers that
     /// already claimed them). Always zero outside shard mode.
     pub units_deferred: usize,
+    /// Confirmation replays run in the simulator: one per distinct
+    /// (checker, function, model) among a re-confirmed component's
+    /// replayable `sat` reports.
+    pub replays_run: usize,
+    /// Confirmation replays answered by a component's cached
+    /// [`ConfirmRecord`] instead.
+    pub replays_cached: usize,
 }
 
 /// The incremental check engine: an in-memory memo table over every query,
@@ -206,6 +217,8 @@ pub struct CheckEngine {
     /// Summary content hashes by `H(component key, function name)`,
     /// computed on demand while validating or recording summary reads.
     sum_hashes: HashMap<u64, u64>,
+    /// Confirmation replay outcomes by confirmation key.
+    confirms: HashMap<u64, Arc<ConfirmRecord>>,
     /// Final report vectors by program key.
     programs: HashMap<u64, Arc<ProgramRecord>>,
 }
@@ -373,6 +386,15 @@ impl CheckEngine {
         }
         let rec = Arc::new(self.disk.as_ref()?.load_component(key)?);
         self.components.insert(key, rec.clone());
+        Some(rec)
+    }
+
+    fn lookup_confirm(&mut self, key: u64) -> Option<Arc<ConfirmRecord>> {
+        if let Some(rec) = self.confirms.get(&key) {
+            return Some(rec.clone());
+        }
+        let rec = Arc::new(self.disk.as_ref()?.load_confirm(key)?);
+        self.confirms.insert(key, rec.clone());
         Some(rec)
     }
 
@@ -703,6 +725,7 @@ impl CheckEngine {
                     summary_key: if interproc { comp_keys[comp_of[i]] } else { 0 },
                     defines: info.defines,
                     calls: info.calls,
+                    constants: pu.unit.constants().to_vec(),
                     reports: local.reports,
                 });
                 self.insert_unit(&rec);
@@ -714,9 +737,13 @@ impl CheckEngine {
             }
         }
 
-        let mut reports: Vec<Report> = Vec::new();
-        for rec in recs.iter().flatten() {
-            reports.extend(rec.reports.iter().cloned());
+        // Reports are gathered per component: confirmation replays them
+        // component by component.
+        let mut by_comp: Vec<Vec<Report>> = vec![Vec::new(); comps.len()];
+        for (i, rec) in recs.iter().enumerate() {
+            if let Some(rec) = rec {
+                by_comp[comp_of[i]].extend(rec.reports.iter().cloned());
+            }
         }
 
         // Whole-program passes need every member's facts, which a shard by
@@ -878,11 +905,53 @@ impl CheckEngine {
                 }
             }
 
-            for rec in comp_reports.into_iter().flatten() {
-                reports.extend(rec.reports.iter().cloned());
+            for (c, rec) in comp_reports.into_iter().enumerate() {
+                if let Some(rec) = rec {
+                    by_comp[c].extend(rec.reports.iter().cloned());
+                }
             }
         }
 
+        // Confirmation needs every unit's constants, which a shard does not
+        // have; like program passes, it runs at merge time.
+        if driver.refute_enabled() && self.shard.is_none() {
+            let consts = ConstTable::new(recs.iter().map(|r| {
+                r.as_ref()
+                    .expect("a full run has a record per unit")
+                    .constants
+                    .as_slice()
+            }));
+            let keys: Vec<u64> = comps
+                .iter()
+                .zip(&comp_keys)
+                .map(|(comp, &ck)| {
+                    let mut h = Fnv1a::new();
+                    h.write_str("confirm").write_u64(ck);
+                    h.write_u64(consts.fingerprint());
+                    // Member order decides which duplicate definition
+                    // wins; the component key is order-free.
+                    for &i in comp {
+                        h.write_u64(ast_keys[i]);
+                    }
+                    h.finish()
+                })
+                .collect();
+            self.confirm(
+                driver,
+                sources,
+                &content_keys,
+                &mut parsed,
+                &comps,
+                &keys,
+                &consts,
+                &mut by_comp,
+                &mut stats,
+            )?;
+            let live: HashSet<u64> = keys.iter().copied().collect();
+            self.confirms.retain(|k, _| live.contains(k));
+        }
+
+        let mut reports: Vec<Report> = by_comp.into_iter().flatten().collect();
         reports.sort();
         reports.dedup();
 
@@ -921,6 +990,65 @@ impl CheckEngine {
         }
 
         Ok((reports, stats))
+    }
+
+    /// Confirms every component's reports: components whose cached
+    /// [`ConfirmRecord`] decides all their replays are promoted from it
+    /// without parsing anything; the rest are parsed (clean members
+    /// included) and run through [`Driver::confirm_component`], and their
+    /// records are stored.
+    #[allow(clippy::too_many_arguments)]
+    fn confirm(
+        &mut self,
+        driver: &Driver,
+        sources: &[(String, String)],
+        content_keys: &[u64],
+        parsed: &mut [Option<ParsedUnit>],
+        comps: &[Vec<usize>],
+        keys: &[u64],
+        consts: &ConstTable,
+        by_comp: &mut [Vec<Report>],
+        stats: &mut RunStats,
+    ) -> Result<(), DriverError> {
+        let mut rerun: Vec<(usize, Option<Arc<ConfirmRecord>>)> = Vec::new();
+        for (c, reports) in by_comp.iter_mut().enumerate() {
+            let wanted = crate::confirm::replay_keys(reports);
+            if wanted.is_empty() {
+                continue;
+            }
+            match self.lookup_confirm(keys[c]) {
+                Some(rec) if crate::confirm::covers(&rec.outcomes, &wanted) => {
+                    stats.replays_cached += wanted.len();
+                    crate::confirm::promote(reports, &rec.outcomes);
+                }
+                known => rerun.push((c, known)),
+            }
+        }
+        let missing: Vec<usize> = rerun
+            .iter()
+            .flat_map(|(c, _)| comps[*c].iter().copied())
+            .filter(|&i| parsed[i].is_none())
+            .collect();
+        self.parse_into(driver, sources, content_keys, &missing, parsed, stats)?;
+        for (c, known) in rerun {
+            let members: Vec<&CheckedUnit> = comps[c]
+                .iter()
+                .map(|&i| parsed[i].as_ref().expect("parsed above").unit.as_ref())
+                .collect();
+            let known = known.as_ref().map_or(&[][..], |r| r.outcomes.as_slice());
+            let done = driver.confirm_component(&members, consts, &mut by_comp[c], known);
+            stats.replays_run += done.replayed;
+            stats.replays_cached += done.cached;
+            let rec = Arc::new(ConfirmRecord {
+                key: keys[c],
+                outcomes: done.outcomes,
+            });
+            if let Some(d) = &self.disk {
+                d.store_confirm(&rec);
+            }
+            self.confirms.insert(rec.key, rec);
+        }
+        Ok(())
     }
 
     /// Parses (and CFG-builds) the units in `need`, filling `parsed`,
@@ -1376,10 +1504,11 @@ mod tests {
     }
 
     #[test]
-    fn refuted_and_sat_verdicts_survive_the_cache() {
-        // Verdicts are decided inside the local pass, so cached unit
-        // records carry them: warm runs must replay refuted/sat reports
-        // byte-identically, without re-running the solver.
+    fn refuted_and_confirmed_verdicts_survive_the_cache() {
+        // Verdicts are decided inside the engine, so cached records carry
+        // them: warm runs must replay refuted/confirmed reports
+        // byte-identically, without re-running the solver or the
+        // simulator.
         let mut d = driver();
         d.refute(true);
         let srcs: Vec<(String, String)> = vec![
@@ -1404,15 +1533,53 @@ mod tests {
             .any(|r| r.verdict == crate::report::Verdict::Refuted));
         assert!(batch
             .iter()
-            .any(|r| r.verdict == crate::report::Verdict::Sat && !r.model.is_empty()));
+            .any(|r| r.verdict == crate::report::Verdict::Confirmed && !r.model.is_empty()));
 
         let mut engine = CheckEngine::in_memory();
         let (cold, s1) = engine.check_sources(&d, &srcs).unwrap();
         assert_eq!(cold, batch);
         assert_eq!(s1.units_checked, srcs.len());
+        assert_eq!((s1.replays_run, s1.replays_cached), (1, 0));
         let (warm, s2) = engine.check_sources(&d, &srcs).unwrap();
         assert!(s2.program_hit);
         assert_eq!(warm, batch);
+        assert_eq!((s2.replays_run, s2.replays_cached), (0, 0));
+    }
+
+    #[test]
+    fn confirmation_replays_follow_components_and_constants() {
+        let mut d = driver();
+        d.refute(true);
+        let mut srcs: Vec<(String, String)> = vec![
+            (
+                "void a(void) { if (gLen > LIMIT) { MISCBUS_READ_DB(x, y); } }".into(),
+                "a.c".into(),
+            ),
+            (
+                "enum limits { LIMIT = 4 };\n\
+                 void b(void) { if (gMode) { MISCBUS_READ_DB(x, y); } }"
+                    .into(),
+                "b.c".into(),
+            ),
+        ];
+        let mut engine = CheckEngine::in_memory();
+        let (_, cold) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!(cold.components, 2);
+        assert_eq!(cold.replays_run, 2);
+
+        // A body edit in b's component replays b only; a's outcome is
+        // answered by its cached record.
+        srcs[1].0 = srcs[1].0.replace("gMode", "gMode2");
+        let (reports, edit) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!((edit.replays_run, edit.replays_cached), (1, 1));
+        assert_eq!(reports, d.check_sources(&srcs).unwrap());
+
+        // Changing a constant re-replays every component: a's replay
+        // resolves LIMIT from b's unit.
+        srcs[1].0 = srcs[1].0.replace("LIMIT = 4", "LIMIT = 5");
+        let (reports, konst) = engine.check_sources(&d, &srcs).unwrap();
+        assert_eq!((konst.replays_run, konst.replays_cached), (2, 0));
+        assert_eq!(reports, d.check_sources(&srcs).unwrap());
     }
 
     #[test]

@@ -86,16 +86,18 @@ fn arb_unit() -> impl Strategy<Value = UnitRecord> {
         (
             prop::collection::vec(func_name(), 0..5),
             prop::collection::vec(func_name(), 0..5),
+            prop::collection::vec((func_name(), any::<i64>()), 0..5),
             prop::collection::vec(arb_report(), 0..5),
         ),
     )
         .prop_map(
-            |((src_key, ast_key, summary_key), (defines, calls, reports))| UnitRecord {
+            |((src_key, ast_key, summary_key), (defines, calls, constants, reports))| UnitRecord {
                 src_key,
                 ast_key,
                 summary_key,
                 defines,
                 calls,
+                constants,
                 reports,
             },
         )

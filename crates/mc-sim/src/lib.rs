@@ -46,5 +46,7 @@ mod machine;
 mod replay;
 
 pub use interp::{InterpError, Outcome, MAX_CALL_DEPTH, MAX_STEPS_PER_HANDLER};
-pub use machine::{BufferPool, DirEntry, Machine, Message, Node, Program, SimConfig, SimEvent};
+pub use machine::{
+    constant_decls, BufferPool, DirEntry, Machine, Message, Node, Program, SimConfig, SimEvent,
+};
 pub use replay::{replay, replayable_checker};

@@ -4,14 +4,19 @@
 use crate::interp::{run_handler, InterpError};
 use mc_ast::{parse_translation_unit, Function, ParseError, TranslationUnit};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 /// A parsed protocol ready to simulate.
+///
+/// The function and constant tables sit behind [`Arc`], so cloning a
+/// program (one per replayed report) and dropping it cost O(1) whatever
+/// its size.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    functions: HashMap<String, Function>,
+    functions: Arc<HashMap<String, Arc<Function>>>,
     /// Enum constants and const-initialized globals from the sources,
     /// visible to every handler.
-    constants: HashMap<String, i64>,
+    constants: Arc<HashMap<String, i64>>,
 }
 
 impl Program {
@@ -37,15 +42,31 @@ impl Program {
         Ok(Program::from_units(&units))
     }
 
-    /// Builds a program from already-parsed units.
+    /// Builds a program from already-parsed units. When several units
+    /// define the same function or constant, the last one in `units`
+    /// order wins.
     pub fn from_units(units: &[TranslationUnit]) -> Program {
-        let mut functions = HashMap::new();
-        let mut constants = HashMap::new();
-        for tu in units {
-            collect(tu, &mut functions, &mut constants);
-        }
+        let constants = units.iter().flat_map(constant_decls).collect();
+        Program::from_parts(
+            units.iter().flat_map(|tu| tu.functions()),
+            Arc::new(constants),
+        )
+    }
+
+    /// Builds a program from function definitions and a constant table
+    /// resolved elsewhere (a caller simulating part of a larger program
+    /// still resolves constants from all of it). The last definition of a
+    /// name wins.
+    pub fn from_parts<'a>(
+        functions: impl IntoIterator<Item = &'a Function>,
+        constants: Arc<HashMap<String, i64>>,
+    ) -> Program {
+        let functions = functions
+            .into_iter()
+            .map(|f| (f.name.clone(), Arc::new(f.clone())))
+            .collect();
         Program {
-            functions,
+            functions: Arc::new(functions),
             constants,
         }
     }
@@ -57,7 +78,13 @@ impl Program {
 
     /// Looks up a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions.get(name)
+        self.functions.get(name).map(|f| f.as_ref())
+    }
+
+    /// Looks up a function by name as a shared handle, so the machine can
+    /// run it while mutating itself without copying the body.
+    pub(crate) fn shared_function(&self, name: &str) -> Option<Arc<Function>> {
+        self.functions.get(name).cloned()
     }
 
     /// Number of functions available to the simulator.
@@ -71,37 +98,34 @@ impl Program {
     }
 }
 
-fn collect(
-    tu: &TranslationUnit,
-    out: &mut HashMap<String, Function>,
-    constants: &mut HashMap<String, i64>,
-) {
+/// The constants one unit declares, in declaration order: enum variants
+/// (C semantics: an implicit value continues from the previous one) and
+/// globals initialized with an integer literal. [`Program::constant`]
+/// resolves names against these.
+pub fn constant_decls(tu: &TranslationUnit) -> Vec<(String, i64)> {
     use mc_ast::{ExprKind, ExternalDecl, Initializer, Item};
+    let mut out = Vec::new();
     for item in &tu.items {
         match item {
-            Item::Function(f) => {
-                out.insert(f.name.clone(), f.clone());
-            }
             Item::Decl(ExternalDecl::EnumDef { variants, .. }) => {
-                // C enum semantics: implicit values continue from the last
-                // explicit one.
                 let mut next = 0i64;
                 for (name, value) in variants {
                     let v = value.unwrap_or(next);
-                    constants.insert(name.clone(), v);
-                    next = v + 1;
+                    out.push((name.clone(), v));
+                    next = v.wrapping_add(1);
                 }
             }
             Item::Decl(ExternalDecl::Var(d)) => {
                 if let Some(Initializer::Expr(e)) = &d.init {
                     if let ExprKind::IntLit(v, _) = e.kind {
-                        constants.insert(d.name.clone(), v);
+                        out.push((d.name.clone(), v));
                     }
                 }
             }
             _ => {}
         }
     }
+    out
 }
 
 /// Configuration of the simulated machine.
@@ -500,7 +524,7 @@ impl Machine {
         self.handler_runs += 1;
 
         let handler = msg.opcode.clone();
-        let Some(func) = self.program.function(&handler).cloned() else {
+        let Some(func) = self.program.shared_function(&handler) else {
             // Built-in sink: consume the message and free the buffer.
             if let Some(buf) = buf {
                 let _ = self.nodes[node_idx].buffers.decref(buf);

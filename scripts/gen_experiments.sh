@@ -190,6 +190,35 @@ debug-print heuristics, automated in `mc-driver`): surviving reports
 are sorted most-likely-real first, and planted bugs rank a full
 confidence band above the surviving false positives.
 
+## Refutation overhead, end to end
+
+What symbolic refutation plus concrete confirmation costs a user of
+`mcheck`: wall time of `mcheck --builtin --spec P/spec.json --format json
+--jobs 1 P/*.c` per seed protocol, default flags against `--no-refute`,
+median of 5 runs on a 2-core host. *Cold* is uncached; *warm* reuses a
+`--cache-dir` filled by the same command. "Before" is the previous
+design, where `mcheck` re-parsed every source into one simulator program
+and deep-cloned it for each `sat` report after checking, outside the
+cache; "after" confirms inside the engine, per call-graph component, on
+a shared program and with per-component cached outcomes (DESIGN.md §14).
+
+| protocol | cold default / no-refute, before | after | warm default / no-refute, before | after |
+|---|---|---|---|---|
+| bitvector | 140 / 50 ms | 51 / 40 ms | 91 / 4.6 ms | 4.2 / 4.1 ms |
+| coma | 143 / 76 ms | 91 / 70 ms | 82 / 5.1 ms | 4.7 / 4.8 ms |
+| common | 93 / 52 ms | 41 / 34 ms | 52 / 5.2 ms | 3.5 / 3.6 ms |
+| dyn_ptr | 233 / 78 ms | 99 / 76 ms | 158 / 6.0 ms | 5.4 / 5.6 ms |
+| rac | 149 / 61 ms | 79 / 58 ms | 99 / 5.2 ms | 4.9 / 4.8 ms |
+| sci | 90 / 52 ms | 54 / 45 ms | 53 / 4.3 ms | 3.9 / 4.0 ms |
+
+Refutation now costs 1.2–1.3x cold (before: 1.7–3.0x) and nothing
+measurable warm (before: 10–26x), because a warm run's program record
+already holds the promoted verdicts. Verdicts are unchanged: the
+per-protocol `sat`/`confirmed`/`refuted` counts and confirmed
+fingerprints are pinned by `tests/verdict_pin.rs`, and
+`tests/confirm_oracle.rs` checks every verdict against the old
+whole-program replay.
+
 ## Figures
 
 * **Figure 1** (FLASH node block diagram) is architectural, not a data
