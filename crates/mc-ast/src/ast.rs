@@ -4,9 +4,18 @@
 //! children, and a [`Span`] on every node. Checkers and the metal pattern
 //! matcher consume it read-only; the corpus generator builds it and prints
 //! it back to text with [`crate::printer`].
+//!
+//! The payloads later layers hold on to sit behind [`Arc`]: expression and
+//! declaration statements, the condition, scrutinee, step, case-value and
+//! return expressions, and whole function definitions. A control-flow
+//! graph node, a branch terminator, a symbolic path step or a simulator
+//! program then shares the parsed node (a reference-count bump) instead of
+//! deep-copying it. The tree is immutable once parsed, so sharing is never
+//! observable except through [`Arc::ptr_eq`].
 
 use crate::token::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// A binary operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -396,11 +405,10 @@ pub enum Initializer {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchCase {
     /// `Some(expr)` for `case expr:`, `None` for `default:`.
-    pub value: Option<Expr>,
+    pub value: Option<Arc<Expr>>,
     /// Statements in the arm (up to the next label), in order.
     pub body: Vec<Stmt>,
-    /// Whether the arm ends without `break`/`return`/`continue`
-    /// (falls through to the next arm).
+    /// Location of the `case`/`default` label.
     pub span: Span,
 }
 
@@ -432,10 +440,10 @@ impl Stmt {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     /// Expression statement `expr;`.
-    Expr(Expr),
+    Expr(Arc<Expr>),
     /// Local declaration(s). One `Stmt` per declarator — the parser splits
     /// `int a, b;` into two nodes for simpler downstream handling.
-    Decl(Declaration),
+    Decl(Arc<Declaration>),
     /// Empty statement `;`.
     Empty,
     /// Block `{ ... }`.
@@ -443,7 +451,7 @@ pub enum StmtKind {
     /// `if (cond) then [else els]`.
     If {
         /// Condition.
-        cond: Expr,
+        cond: Arc<Expr>,
         /// True branch.
         then: Box<Stmt>,
         /// Optional false branch.
@@ -452,7 +460,7 @@ pub enum StmtKind {
     /// `while (cond) body`.
     While {
         /// Loop condition.
-        cond: Expr,
+        cond: Arc<Expr>,
         /// Loop body.
         body: Box<Stmt>,
     },
@@ -461,7 +469,7 @@ pub enum StmtKind {
         /// Loop body.
         body: Box<Stmt>,
         /// Loop condition.
-        cond: Expr,
+        cond: Arc<Expr>,
     },
     /// `for (init; cond; step) body`. All three headers optional; `init`
     /// may be a declaration or expression statement.
@@ -469,16 +477,16 @@ pub enum StmtKind {
         /// Initializer.
         init: Option<Box<Stmt>>,
         /// Condition.
-        cond: Option<Expr>,
+        cond: Option<Arc<Expr>>,
         /// Step expression.
-        step: Option<Expr>,
+        step: Option<Arc<Expr>>,
         /// Loop body.
         body: Box<Stmt>,
     },
     /// `switch (scrutinee) { cases }`.
     Switch {
         /// Switched expression.
-        scrutinee: Expr,
+        scrutinee: Arc<Expr>,
         /// The arms in order.
         cases: Vec<SwitchCase>,
     },
@@ -487,7 +495,7 @@ pub enum StmtKind {
     /// `continue;`
     Continue,
     /// `return;` or `return expr;`
-    Return(Option<Expr>),
+    Return(Option<Arc<Expr>>),
     /// `label:` (attached to the following statement).
     Label(String, Box<Stmt>),
     /// `goto label;`
@@ -575,7 +583,7 @@ pub enum ExternalDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Item {
     /// A function with a body.
-    Function(Function),
+    Function(Arc<Function>),
     /// Everything else at file scope.
     Decl(ExternalDecl),
 }
@@ -594,6 +602,12 @@ pub struct TranslationUnit {
 impl TranslationUnit {
     /// Iterates over the function definitions in this unit.
     pub fn functions(&self) -> impl Iterator<Item = &Function> {
+        self.shared_functions().map(|f| f.as_ref())
+    }
+
+    /// Iterates over the function definitions as shared handles, for
+    /// consumers that keep a function beyond a borrow of the unit.
+    pub fn shared_functions(&self) -> impl Iterator<Item = &Arc<Function>> {
         self.items.iter().filter_map(|item| match item {
             Item::Function(f) => Some(f),
             Item::Decl(_) => None,
@@ -673,14 +687,14 @@ mod tests {
     #[test]
     fn translation_unit_lookup() {
         let mut tu = TranslationUnit::default();
-        tu.items.push(Item::Function(Function {
+        tu.items.push(Item::Function(Arc::new(Function {
             storage: StorageClass::default(),
             return_type: Type::Void,
             name: "PILocalGet".into(),
             params: vec![],
             body: vec![],
             span: Span::default(),
-        }));
+        })));
         assert!(tu.function("PILocalGet").is_some());
         assert!(tu.function("missing").is_none());
         assert_eq!(tu.functions().count(), 1);

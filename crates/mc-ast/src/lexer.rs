@@ -27,8 +27,13 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Streaming lexer over source text.
+///
+/// Identifier and number tokens are sliced out of the source with one
+/// allocation each, and punctuation is matched on bytes into `'static`
+/// strings, so lexing allocates only for token texts the AST keeps.
 #[derive(Debug)]
 pub struct Lexer<'src> {
+    text: &'src str,
     src: &'src [u8],
     pos: usize,
     line: u32,
@@ -41,6 +46,7 @@ impl<'src> Lexer<'src> {
     /// Creates a lexer over `src`.
     pub fn new(src: &'src str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -56,7 +62,8 @@ impl<'src> Lexer<'src> {
     ///
     /// Returns a [`LexError`] on malformed literals or unknown characters.
     pub fn tokenize(mut self) -> Result<(Vec<Token>, Vec<String>), LexError> {
-        let mut out = Vec::new();
+        // Protocol code averages about three and a half bytes per token.
+        let mut out = Vec::with_capacity(self.src.len() / 3 + 1);
         loop {
             let tok = self.next_token()?;
             let done = tok.kind == TokenKind::Eof;
@@ -76,10 +83,6 @@ impl<'src> Lexer<'src> {
         *self.src.get(self.pos + 1).unwrap_or(&0)
     }
 
-    fn peek3(&self) -> u8 {
-        *self.src.get(self.pos + 2).unwrap_or(&0)
-    }
-
     fn bump(&mut self) -> u8 {
         let c = self.peek();
         self.pos += 1;
@@ -92,6 +95,21 @@ impl<'src> Lexer<'src> {
         c
     }
 
+    /// Advances over `n` bytes that contain no newline.
+    fn skip_inline(&mut self, n: usize) {
+        self.pos += n;
+        self.col += n as u32;
+    }
+
+    /// Advances while `pred` holds for the current byte (which must never
+    /// hold for a newline) and returns the text passed over.
+    fn eat_while(&mut self, pred: impl Fn(u8) -> bool) -> &'src str {
+        let start = self.pos;
+        let n = self.src[start..].iter().take_while(|&&c| pred(c)).count();
+        self.skip_inline(n);
+        &self.text[start..self.pos]
+    }
+
     fn span(&self) -> Span {
         Span::new(self.line, self.col)
     }
@@ -99,18 +117,18 @@ impl<'src> Lexer<'src> {
     fn skip_trivia(&mut self) -> Result<(), LexError> {
         loop {
             match self.peek() {
-                b' ' | b'\t' | b'\r' | b'\n' => {
+                b' ' | b'\t' | b'\r' => {
+                    self.eat_while(|c| matches!(c, b' ' | b'\t' | b'\r'));
+                }
+                b'\n' => {
                     self.bump();
                 }
                 b'/' if self.peek2() == b'/' => {
-                    while self.peek() != b'\n' && self.peek() != 0 {
-                        self.bump();
-                    }
+                    self.eat_while(|c| c != b'\n' && c != 0);
                 }
                 b'/' if self.peek2() == b'*' => {
                     let start = self.span();
-                    self.bump();
-                    self.bump();
+                    self.skip_inline(2);
                     loop {
                         if self.peek() == 0 {
                             return Err(LexError {
@@ -119,8 +137,7 @@ impl<'src> Lexer<'src> {
                             });
                         }
                         if self.peek() == b'*' && self.peek2() == b'/' {
-                            self.bump();
-                            self.bump();
+                            self.skip_inline(2);
                             break;
                         }
                         self.bump();
@@ -173,11 +190,8 @@ impl<'src> Lexer<'src> {
             return Ok(Token::new(TokenKind::Eof, span));
         }
         if c.is_ascii_alphabetic() || c == b'_' {
-            let mut s = String::new();
-            while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' {
-                s.push(self.bump() as char);
-            }
-            return Ok(Token::new(TokenKind::Ident(s), span));
+            let name = self.eat_while(|c| c.is_ascii_alphanumeric() || c == b'_');
+            return Ok(Token::new(TokenKind::Ident(name.to_string()), span));
         }
         if c.is_ascii_digit() {
             return self.lex_number(span);
@@ -190,23 +204,19 @@ impl<'src> Lexer<'src> {
     }
 
     fn lex_number(&mut self, span: Span) -> Result<Token, LexError> {
-        let mut text = String::new();
+        let start = self.pos;
         if self.peek() == b'0' && (self.peek2() == b'x' || self.peek2() == b'X') {
-            text.push(self.bump() as char);
-            text.push(self.bump() as char);
-            while self.peek().is_ascii_hexdigit() {
-                text.push(self.bump() as char);
-            }
-            let value = i64::from_str_radix(&text[2..], 16).map_err(|_| LexError {
-                message: format!("invalid hex literal `{text}`"),
+            self.skip_inline(2);
+            let digits = self.eat_while(|c| c.is_ascii_hexdigit());
+            let value = i64::from_str_radix(digits, 16).map_err(|_| LexError {
+                message: format!("invalid hex literal `{}`", &self.text[start..self.pos]),
                 span,
             })?;
-            self.skip_int_suffix(&mut text);
+            self.eat_int_suffix();
+            let text = self.text[start..self.pos].to_string();
             return Ok(Token::new(TokenKind::Int(value, text), span));
         }
-        while self.peek().is_ascii_digit() {
-            text.push(self.bump() as char);
-        }
+        self.eat_while(|c| c.is_ascii_digit());
         let is_float = self.peek() == b'.' && self.peek2().is_ascii_digit()
             || self.peek() == b'e'
             || self.peek() == b'E'
@@ -215,42 +225,39 @@ impl<'src> Lexer<'src> {
                 && self.peek2() != b'.');
         if is_float || self.peek() == b'f' || self.peek() == b'F' {
             if self.peek() == b'.' {
-                text.push(self.bump() as char);
-                while self.peek().is_ascii_digit() {
-                    text.push(self.bump() as char);
-                }
+                self.skip_inline(1);
+                self.eat_while(|c| c.is_ascii_digit());
             }
             if self.peek() == b'e' || self.peek() == b'E' {
-                text.push(self.bump() as char);
+                self.skip_inline(1);
                 if self.peek() == b'+' || self.peek() == b'-' {
-                    text.push(self.bump() as char);
+                    self.skip_inline(1);
                 }
-                while self.peek().is_ascii_digit() {
-                    text.push(self.bump() as char);
-                }
+                self.eat_while(|c| c.is_ascii_digit());
             }
-            let mut display = text.clone();
+            let text = &self.text[start..self.pos];
             if self.peek() == b'f' || self.peek() == b'F' {
-                display.push(self.bump() as char);
+                self.skip_inline(1);
             }
             let value: f64 = text.parse().map_err(|_| LexError {
                 message: format!("invalid float literal `{text}`"),
                 span,
             })?;
+            let display = self.text[start..self.pos].to_string();
             return Ok(Token::new(TokenKind::Float(value, display), span));
         }
-        let value: i64 = text.parse().map_err(|_| LexError {
-            message: format!("invalid integer literal `{text}`"),
+        let digits = &self.text[start..self.pos];
+        let value: i64 = digits.parse().map_err(|_| LexError {
+            message: format!("invalid integer literal `{digits}`"),
             span,
         })?;
-        self.skip_int_suffix(&mut text);
+        self.eat_int_suffix();
+        let text = self.text[start..self.pos].to_string();
         Ok(Token::new(TokenKind::Int(value, text), span))
     }
 
-    fn skip_int_suffix(&mut self, text: &mut String) {
-        while matches!(self.peek(), b'u' | b'U' | b'l' | b'L') {
-            text.push(self.bump() as char);
-        }
+    fn eat_int_suffix(&mut self) {
+        self.eat_while(|c| matches!(c, b'u' | b'U' | b'l' | b'L'));
     }
 
     fn lex_string(&mut self, span: Span) -> Result<Token, LexError> {
@@ -304,44 +311,90 @@ impl<'src> Lexer<'src> {
     }
 
     fn lex_punct(&mut self, span: Span) -> Result<Token, LexError> {
-        // Longest-match punctuation table.
-        // `==>` is not C: it is the metal transition arrow. The metal DSL
-        // parser reuses this lexer, so it is lexed here as one token.
-        const THREE: &[&str] = &["<<=", ">>=", "...", "==>"];
-        const TWO: &[&str] = &[
-            "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "+=", "-=", "*=", "/=", "%=", "&=",
-            "|=", "^=", "->", "++", "--",
-        ];
-        const ONE: &[&str] = &[
-            "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^", "?", ":", ";", ",",
-            ".", "(", ")", "[", "]", "{", "}",
-        ];
-        let c1 = self.peek() as char;
-        let c2 = self.peek2() as char;
-        let c3 = self.peek3() as char;
-        let three: String = [c1, c2, c3].iter().collect();
-        if let Some(p) = THREE.iter().find(|p| ***p == three) {
-            self.bump();
-            self.bump();
-            self.bump();
-            return Ok(Token::new(TokenKind::Punct(p), span));
+        match punct(&self.src[self.pos..]) {
+            Some(p) => {
+                self.skip_inline(p.len());
+                Ok(Token::new(TokenKind::Punct(p), span))
+            }
+            None => {
+                let c = self.text.get(self.pos..).and_then(|r| r.chars().next());
+                let c = c.unwrap_or(self.peek() as char);
+                Err(LexError {
+                    message: format!("unexpected character `{c}`"),
+                    span,
+                })
+            }
         }
-        let two: String = [c1, c2].iter().collect();
-        if let Some(p) = TWO.iter().find(|p| ***p == two && p.len() == 2) {
-            self.bump();
-            self.bump();
-            return Ok(Token::new(TokenKind::Punct(p), span));
-        }
-        let one: String = c1.to_string();
-        if let Some(p) = ONE.iter().find(|p| ***p == one) {
-            self.bump();
-            return Ok(Token::new(TokenKind::Punct(p), span));
-        }
-        Err(LexError {
-            message: format!("unexpected character `{c1}`"),
-            span,
-        })
     }
+}
+
+/// The longest punctuation token `rest` starts with.
+///
+/// `==>` is not C: it is the metal transition arrow. The metal DSL parser
+/// reuses this lexer, so it is lexed here as one token.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let three = match rest {
+        [b'<', b'<', b'=', ..] => "<<=",
+        [b'>', b'>', b'=', ..] => ">>=",
+        [b'.', b'.', b'.', ..] => "...",
+        [b'=', b'=', b'>', ..] => "==>",
+        _ => "",
+    };
+    if !three.is_empty() {
+        return Some(three);
+    }
+    let two = match rest {
+        [b'=', b'=', ..] => "==",
+        [b'!', b'=', ..] => "!=",
+        [b'<', b'=', ..] => "<=",
+        [b'>', b'=', ..] => ">=",
+        [b'&', b'&', ..] => "&&",
+        [b'|', b'|', ..] => "||",
+        [b'<', b'<', ..] => "<<",
+        [b'>', b'>', ..] => ">>",
+        [b'+', b'=', ..] => "+=",
+        [b'-', b'=', ..] => "-=",
+        [b'*', b'=', ..] => "*=",
+        [b'/', b'=', ..] => "/=",
+        [b'%', b'=', ..] => "%=",
+        [b'&', b'=', ..] => "&=",
+        [b'|', b'=', ..] => "|=",
+        [b'^', b'=', ..] => "^=",
+        [b'-', b'>', ..] => "->",
+        [b'+', b'+', ..] => "++",
+        [b'-', b'-', ..] => "--",
+        _ => "",
+    };
+    if !two.is_empty() {
+        return Some(two);
+    }
+    Some(match rest.first()? {
+        b'+' => "+",
+        b'-' => "-",
+        b'*' => "*",
+        b'/' => "/",
+        b'%' => "%",
+        b'=' => "=",
+        b'<' => "<",
+        b'>' => ">",
+        b'!' => "!",
+        b'~' => "~",
+        b'&' => "&",
+        b'|' => "|",
+        b'^' => "^",
+        b'?' => "?",
+        b':' => ":",
+        b';' => ";",
+        b',' => ",",
+        b'.' => ".",
+        b'(' => "(",
+        b')' => ")",
+        b'[' => "[",
+        b']' => "]",
+        b'{' => "{",
+        b'}' => "}",
+        _ => return None,
+    })
 }
 
 fn unescape(c: u8) -> char {
@@ -449,8 +502,82 @@ mod tests {
 
     #[test]
     fn int_suffixes_are_consumed() {
-        let k = kinds("10UL 0xffU");
+        let k = kinds("10UL 0xffU 7u 3l 0X1fLL");
         assert!(matches!(&k[0], TokenKind::Int(10, t) if t == "10UL"));
-        assert!(matches!(&k[1], TokenKind::Int(255, _)));
+        assert!(matches!(&k[1], TokenKind::Int(255, t) if t == "0xffU"));
+        assert!(matches!(&k[2], TokenKind::Int(7, t) if t == "7u"));
+        assert!(matches!(&k[3], TokenKind::Int(3, t) if t == "3l"));
+        assert!(matches!(&k[4], TokenKind::Int(31, t) if t == "0X1fLL"));
+        assert_eq!(k[5], TokenKind::Eof);
+    }
+
+    #[test]
+    fn punctuation_at_end_of_input() {
+        assert_eq!(
+            kinds("a;"),
+            [ident("a"), TokenKind::Punct(";"), TokenKind::Eof]
+        );
+        assert_eq!(
+            kinds("x<<="),
+            [ident("x"), TokenKind::Punct("<<="), TokenKind::Eof]
+        );
+        assert_eq!(
+            kinds("p->"),
+            [ident("p"), TokenKind::Punct("->"), TokenKind::Eof]
+        );
+        // A prefix of a longer operator cut off by the end of input.
+        assert_eq!(
+            kinds(".."),
+            [TokenKind::Punct("."), TokenKind::Punct("."), TokenKind::Eof]
+        );
+        assert_eq!(kinds("<"), [TokenKind::Punct("<"), TokenKind::Eof]);
+    }
+
+    #[test]
+    fn metal_arrow_is_one_token() {
+        assert_eq!(
+            kinds("a ==> b == c"),
+            [
+                ident("a"),
+                TokenKind::Punct("==>"),
+                ident("b"),
+                TokenKind::Punct("=="),
+                ident("c"),
+                TokenKind::Eof
+            ]
+        );
+        assert_eq!(kinds("==>"), [TokenKind::Punct("==>"), TokenKind::Eof]);
+    }
+
+    #[test]
+    fn identifier_and_numbers_at_end_of_input() {
+        assert_eq!(kinds("foo_9"), [ident("foo_9"), TokenKind::Eof]);
+        assert_eq!(
+            kinds("= 12"),
+            [TokenKind::Punct("="), int(12, "12"), TokenKind::Eof]
+        );
+        assert_eq!(kinds("0x1F"), [int(31, "0x1F"), TokenKind::Eof]);
+        let k = kinds("2.5f");
+        assert!(matches!(&k[0], TokenKind::Float(v, t) if *v == 2.5 && t == "2.5f"));
+        let (toks, _) = Lexer::new("ab\n  cd").tokenize().unwrap();
+        assert_eq!(toks[1].span, Span::new(2, 3));
+        assert_eq!(toks[2].span, Span::new(2, 5));
+    }
+
+    #[test]
+    fn unknown_non_ascii_character_is_named_in_the_error() {
+        let err = Lexer::new("int x = \u{e9};").tokenize().unwrap_err();
+        assert_eq!(err.message, "unexpected character `\u{e9}`");
+        assert_eq!(err.span, Span::new(1, 9));
+        let err = Lexer::new("a \u{2192} b").tokenize().unwrap_err();
+        assert_eq!(err.message, "unexpected character `\u{2192}`");
+    }
+
+    fn ident(s: &str) -> TokenKind {
+        TokenKind::Ident(s.into())
+    }
+
+    fn int(v: i64, text: &str) -> TokenKind {
+        TokenKind::Int(v, text.into())
     }
 }

@@ -18,6 +18,17 @@ use crate::lexer::Lexer;
 use crate::token::{is_type_keyword, Span, Token, TokenKind};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
+
+/// The deepest nesting the parser accepts. Each nested statement (block,
+/// `if`/loop/`switch` body, label) and each nested expression
+/// (parentheses, call argument, subscript, prefix operator or cast operand,
+/// assignment or conditional right-hand side, initializer list) is one
+/// level, and an expression counts on top of the statements around it.
+/// Deeper input is a [`ParseError`] rather than a stack overflow, in the
+/// parser or in any of the recursive tree walks that run after it: at this
+/// depth the whole pipeline fits a 2 MiB thread stack, even unoptimized.
+pub const MAX_NESTING: usize = 256;
 
 /// An error produced while parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,6 +116,8 @@ pub struct Parser {
     file: String,
     typedefs: HashSet<String>,
     wildcards: HashSet<String>,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
     /// Preprocessor lines captured by the lexer, stored into the resulting
     /// [`TranslationUnit`].
     pub preprocessor_lines: Vec<String>,
@@ -119,6 +132,7 @@ impl Parser {
             file: file.to_string(),
             typedefs: HashSet::new(),
             wildcards: HashSet::new(),
+            depth: 0,
             preprocessor_lines: Vec::new(),
         }
     }
@@ -157,14 +171,30 @@ impl Parser {
         self.tokens[self.pos.min(self.tokens.len() - 1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
+    /// Steps past the current token.
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Steps past the current token and moves its kind out. The parser
+    /// never looks back, so the consumed slot keeps only its span.
+    fn take(&mut self) -> TokenKind {
+        let at = self.pos.min(self.tokens.len() - 1);
+        self.bump();
+        std::mem::replace(&mut self.tokens[at].kind, TokenKind::Eof)
+    }
+
+    /// Enters one nesting level, or fails past [`MAX_NESTING`]. Every
+    /// successful call is paired with a `self.depth -= 1` once the nested
+    /// step returns.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth >= MAX_NESTING {
+            return self.err(format!("nested deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -195,12 +225,17 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
         match self.peek() {
-            TokenKind::Ident(s) if !crate::token::is_keyword(s) => {
-                let s = s.clone();
-                self.bump();
-                Ok(s)
-            }
+            TokenKind::Ident(s) if !crate::token::is_keyword(s) => Ok(self.take_ident()),
             other => self.err(format!("expected identifier, found `{other}`")),
+        }
+    }
+
+    /// Moves the current identifier token's text out; the caller has
+    /// checked that the current token is an identifier.
+    fn take_ident(&mut self) -> String {
+        match self.take() {
+            TokenKind::Ident(s) => s,
+            other => unreachable!("take_ident on `{other}`"),
         }
     }
 
@@ -322,8 +357,7 @@ impl Parser {
         // Typedef name.
         if let TokenKind::Ident(s) = self.peek() {
             if self.typedefs.contains(s) {
-                let name = s.clone();
-                self.bump();
+                let name = self.take_ident();
                 return Ok(self.pointered(Type::Named(name)));
             }
         }
@@ -472,7 +506,7 @@ impl Parser {
             }
             self.expect_punct("{")?;
             let body = self.block_body()?;
-            return Ok(Item::Function(Function { body, ..func }));
+            return Ok(Item::Function(Arc::new(Function { body, ..func })));
         }
 
         // Global variable (only the first declarator may be followed by
@@ -508,11 +542,7 @@ impl Parser {
             let _sc = self.storage_class();
             let base = self.type_specifier()?;
             let name = match self.peek() {
-                TokenKind::Ident(s) if !crate::token::is_keyword(s) => {
-                    let n = s.clone();
-                    self.bump();
-                    n
-                }
+                TokenKind::Ident(s) if !crate::token::is_keyword(s) => self.take_ident(),
                 _ => String::new(),
             };
             let ty = self.array_suffixes(base)?;
@@ -528,7 +558,10 @@ impl Parser {
         if self.eat_punct("{") {
             let mut list = Vec::new();
             while !self.eat_punct("}") {
-                list.push(self.initializer()?);
+                self.enter()?;
+                let item = self.initializer();
+                self.depth -= 1;
+                list.push(item?);
                 if !self.eat_punct(",") {
                     self.expect_punct("}")?;
                     break;
@@ -559,151 +592,197 @@ impl Parser {
     ///
     /// Returns [`ParseError`] on malformed input.
     pub fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.enter()?;
+        let s = self.stmt_inner();
+        self.depth -= 1;
+        s
+    }
+
+    // Statement and expression parsing recurse once per nesting level, so
+    // the functions on that path stay small: each construct's work lives
+    // in its own function, and only the one being parsed holds a frame.
+
+    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         let span = self.peek_span();
         // Label: `ident :` not followed by another colon-ish construct.
         if let TokenKind::Ident(s) = self.peek() {
             if !crate::token::is_keyword(s) && self.peek_at(1).is_punct(":") {
-                let label = s.clone();
-                self.bump();
-                self.bump();
-                let inner = self.stmt()?;
-                return Ok(Stmt::new(StmtKind::Label(label, Box::new(inner)), span));
+                return self.label_stmt(span);
             }
         }
         if self.eat_punct(";") {
             return Ok(Stmt::new(StmtKind::Empty, span));
         }
         if self.eat_punct("{") {
-            let body = self.block_body()?;
-            return Ok(Stmt::new(StmtKind::Block(body), span));
+            return Ok(Stmt::new(StmtKind::Block(self.block_body()?), span));
         }
         if self.eat_kw("if") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then = Box::new(self.stmt()?);
-            let els = if self.eat_kw("else") {
-                Some(Box::new(self.stmt()?))
-            } else {
-                None
-            };
-            return Ok(Stmt::new(StmtKind::If { cond, then, els }, span));
+            return self.if_stmt(span);
         }
         if self.eat_kw("while") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let body = Box::new(self.stmt()?);
-            return Ok(Stmt::new(StmtKind::While { cond, body }, span));
+            return self.while_stmt(span);
         }
         if self.eat_kw("do") {
-            let body = Box::new(self.stmt()?);
-            if !self.eat_kw("while") {
-                return self.err("expected `while` after `do` body");
-            }
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::new(StmtKind::DoWhile { body, cond }, span));
+            return self.do_while_stmt(span);
         }
         if self.eat_kw("for") {
-            self.expect_punct("(")?;
-            let init = if self.eat_punct(";") {
-                None
-            } else if self.at_type() {
-                Some(Box::new(self.decl_stmt()?))
-            } else {
-                let e = self.expr()?;
-                self.expect_punct(";")?;
-                Some(Box::new(Stmt::new(StmtKind::Expr(e), span)))
-            };
-            let cond = if self.peek().is_punct(";") {
-                None
-            } else {
-                Some(self.expr()?)
-            };
-            self.expect_punct(";")?;
-            let step = if self.peek().is_punct(")") {
-                None
-            } else {
-                Some(self.expr()?)
-            };
-            self.expect_punct(")")?;
-            let body = Box::new(self.stmt()?);
-            return Ok(Stmt::new(
-                StmtKind::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                },
-                span,
-            ));
+            return self.for_stmt(span);
         }
         if self.eat_kw("switch") {
-            self.expect_punct("(")?;
-            let scrutinee = self.expr()?;
-            self.expect_punct(")")?;
-            self.expect_punct("{")?;
-            let mut cases = Vec::new();
-            while !self.eat_punct("}") {
-                let case_span = self.peek_span();
-                let value = if self.eat_kw("case") {
-                    let e = self.expr()?;
-                    self.expect_punct(":")?;
-                    Some(e)
-                } else if self.eat_kw("default") {
-                    self.expect_punct(":")?;
-                    None
-                } else {
-                    return self.err("expected `case` or `default` in switch body");
-                };
-                let mut body = Vec::new();
-                while !self.peek().is_kw("case")
-                    && !self.peek().is_kw("default")
-                    && !self.peek().is_punct("}")
-                {
-                    if *self.peek() == TokenKind::Eof {
-                        return self.err("unexpected end of file inside switch");
-                    }
-                    body.push(self.stmt()?);
-                }
-                cases.push(SwitchCase {
-                    value,
-                    body,
-                    span: case_span,
-                });
-            }
-            return Ok(Stmt::new(StmtKind::Switch { scrutinee, cases }, span));
+            return self.switch_stmt(span);
         }
         if self.eat_kw("break") {
-            self.expect_punct(";")?;
-            return Ok(Stmt::new(StmtKind::Break, span));
+            return self.jump_stmt(StmtKind::Break, span);
         }
         if self.eat_kw("continue") {
-            self.expect_punct(";")?;
-            return Ok(Stmt::new(StmtKind::Continue, span));
+            return self.jump_stmt(StmtKind::Continue, span);
         }
         if self.eat_kw("return") {
-            if self.eat_punct(";") {
-                return Ok(Stmt::new(StmtKind::Return(None), span));
-            }
-            let e = self.expr()?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::new(StmtKind::Return(Some(e)), span));
+            return self.return_stmt(span);
         }
         if self.eat_kw("goto") {
-            let label = self.expect_ident()?;
-            self.expect_punct(";")?;
-            return Ok(Stmt::new(StmtKind::Goto(label), span));
+            return self.goto_stmt(span);
         }
         if self.at_type() {
             return self.decl_stmt();
         }
+        self.expr_stmt(span)
+    }
+
+    fn label_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        let label = self.take_ident();
+        self.bump();
+        let inner = self.stmt()?;
+        Ok(Stmt::new(StmtKind::Label(label, Box::new(inner)), span))
+    }
+
+    /// `( expr )` around a statement's condition or scrutinee.
+    fn paren_cond(&mut self) -> Result<Arc<Expr>, ParseError> {
+        self.expect_punct("(")?;
+        let cond = self.expr()?;
+        self.expect_punct(")")?;
+        Ok(Arc::new(cond))
+    }
+
+    fn if_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        let cond = self.paren_cond()?;
+        let then = Box::new(self.stmt()?);
+        let els = if self.eat_kw("else") {
+            Some(Box::new(self.stmt()?))
+        } else {
+            None
+        };
+        Ok(Stmt::new(StmtKind::If { cond, then, els }, span))
+    }
+
+    fn while_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        let cond = self.paren_cond()?;
+        let body = Box::new(self.stmt()?);
+        Ok(Stmt::new(StmtKind::While { cond, body }, span))
+    }
+
+    fn do_while_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        let body = Box::new(self.stmt()?);
+        if !self.eat_kw("while") {
+            return self.err("expected `while` after `do` body");
+        }
+        let cond = self.paren_cond()?;
+        self.expect_punct(";")?;
+        Ok(Stmt::new(StmtKind::DoWhile { body, cond }, span))
+    }
+
+    fn for_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        self.expect_punct("(")?;
+        let init = if self.eat_punct(";") {
+            None
+        } else if self.at_type() {
+            Some(Box::new(self.decl_stmt()?))
+        } else {
+            Some(Box::new(self.expr_stmt(span)?))
+        };
+        let cond = if self.peek().is_punct(";") {
+            None
+        } else {
+            Some(Arc::new(self.expr()?))
+        };
+        self.expect_punct(";")?;
+        let step = if self.peek().is_punct(")") {
+            None
+        } else {
+            Some(Arc::new(self.expr()?))
+        };
+        self.expect_punct(")")?;
+        let body = Box::new(self.stmt()?);
+        Ok(Stmt::new(
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            },
+            span,
+        ))
+    }
+
+    fn switch_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        let scrutinee = self.paren_cond()?;
+        self.expect_punct("{")?;
+        let mut cases = Vec::new();
+        while !self.eat_punct("}") {
+            cases.push(self.switch_case()?);
+        }
+        Ok(Stmt::new(StmtKind::Switch { scrutinee, cases }, span))
+    }
+
+    fn switch_case(&mut self) -> Result<SwitchCase, ParseError> {
+        let span = self.peek_span();
+        let value = if self.eat_kw("case") {
+            let e = self.expr()?;
+            self.expect_punct(":")?;
+            Some(Arc::new(e))
+        } else if self.eat_kw("default") {
+            self.expect_punct(":")?;
+            None
+        } else {
+            return self.err("expected `case` or `default` in switch body");
+        };
+        let mut body = Vec::new();
+        while !self.peek().is_kw("case")
+            && !self.peek().is_kw("default")
+            && !self.peek().is_punct("}")
+        {
+            if *self.peek() == TokenKind::Eof {
+                return self.err("unexpected end of file inside switch");
+            }
+            body.push(self.stmt()?);
+        }
+        Ok(SwitchCase { value, body, span })
+    }
+
+    fn jump_stmt(&mut self, kind: StmtKind, span: Span) -> Result<Stmt, ParseError> {
+        self.expect_punct(";")?;
+        Ok(Stmt::new(kind, span))
+    }
+
+    fn return_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        if self.eat_punct(";") {
+            return Ok(Stmt::new(StmtKind::Return(None), span));
+        }
         let e = self.expr()?;
         self.expect_punct(";")?;
-        Ok(Stmt::new(StmtKind::Expr(e), span))
+        Ok(Stmt::new(StmtKind::Return(Some(Arc::new(e))), span))
+    }
+
+    fn goto_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        let label = self.expect_ident()?;
+        self.expect_punct(";")?;
+        Ok(Stmt::new(StmtKind::Goto(label), span))
+    }
+
+    fn expr_stmt(&mut self, span: Span) -> Result<Stmt, ParseError> {
+        let e = self.expr()?;
+        self.expect_punct(";")?;
+        Ok(Stmt::new(StmtKind::Expr(Arc::new(e)), span))
     }
 
     /// Parses a local declaration statement. Multiple declarators become a
@@ -727,13 +806,13 @@ impl Parser {
                 None
             };
             decls.push(Stmt::new(
-                StmtKind::Decl(Declaration {
+                StmtKind::Decl(Arc::new(Declaration {
                     storage,
                     ty,
                     name,
                     init,
                     span,
-                }),
+                })),
                 span,
             ));
             if !self.eat_punct(",") {
@@ -756,7 +835,14 @@ impl Parser {
     ///
     /// Returns [`ParseError`] on malformed input.
     pub fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.assignment_expr()?;
+        let e = self.assignment_expr()?;
+        if self.peek().is_punct(",") {
+            return self.comma_tail(e);
+        }
+        Ok(e)
+    }
+
+    fn comma_tail(&mut self, mut e: Expr) -> Result<Expr, ParseError> {
         while self.peek().is_punct(",") {
             // Comma only binds inside parens/statements; call-argument
             // parsing never enters here.
@@ -769,6 +855,21 @@ impl Parser {
     }
 
     fn assignment_expr(&mut self) -> Result<Expr, ParseError> {
+        self.enter()?;
+        let e = self.assignment_inner();
+        self.depth -= 1;
+        e
+    }
+
+    /// A prefix operator's or cast's operand, one level deeper.
+    fn operand_expr(&mut self) -> Result<Expr, ParseError> {
+        self.enter()?;
+        let e = self.unary_expr();
+        self.depth -= 1;
+        e
+    }
+
+    fn assignment_inner(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.ternary_expr()?;
         let op = match self.peek() {
             TokenKind::Punct("=") => None,
@@ -784,6 +885,10 @@ impl Parser {
             TokenKind::Punct(">>=") => Some(BinaryOp::Shr),
             _ => return Ok(lhs),
         };
+        self.assignment_tail(op, lhs)
+    }
+
+    fn assignment_tail(&mut self, op: Option<BinaryOp>, lhs: Expr) -> Result<Expr, ParseError> {
         let span = self.peek_span();
         self.bump();
         let rhs = self.assignment_expr()?;
@@ -800,24 +905,32 @@ impl Parser {
     fn ternary_expr(&mut self) -> Result<Expr, ParseError> {
         let cond = self.binary_expr(0)?;
         if self.eat_punct("?") {
-            let span = cond.span;
-            let then = self.expr()?;
-            self.expect_punct(":")?;
-            let els = self.assignment_expr()?;
-            return Ok(Expr::new(
-                ExprKind::Ternary {
-                    cond: Box::new(cond),
-                    then: Box::new(then),
-                    els: Box::new(els),
-                },
-                span,
-            ));
+            return self.ternary_tail(cond);
         }
         Ok(cond)
     }
 
+    fn ternary_tail(&mut self, cond: Expr) -> Result<Expr, ParseError> {
+        let span = cond.span;
+        let then = self.expr()?;
+        self.expect_punct(":")?;
+        let els = self.assignment_expr()?;
+        Ok(Expr::new(
+            ExprKind::Ternary {
+                cond: Box::new(cond),
+                then: Box::new(then),
+                els: Box::new(els),
+            },
+            span,
+        ))
+    }
+
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
+        let lhs = self.unary_expr()?;
+        self.binary_tail(lhs, min_prec)
+    }
+
+    fn binary_tail(&mut self, mut lhs: Expr, min_prec: u8) -> Result<Expr, ParseError> {
         loop {
             let (op, prec) = match self.peek() {
                 TokenKind::Punct("||") => (BinaryOp::LogOr, 1),
@@ -859,7 +972,6 @@ impl Parser {
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        let span = self.peek_span();
         let op = match self.peek() {
             TokenKind::Punct("-") => Some(UnaryOp::Neg),
             TokenKind::Punct("!") => Some(UnaryOp::Not),
@@ -871,38 +983,53 @@ impl Parser {
             _ => None,
         };
         if let Some(op) = op {
-            self.bump();
-            let operand = self.unary_expr()?;
-            return Ok(Expr::new(
-                ExprKind::Unary {
-                    op,
-                    operand: Box::new(operand),
-                },
-                span,
-            ));
+            return self.prefix_expr(op);
         }
         if self.peek().is_kw("sizeof") {
-            self.bump();
-            self.expect_punct("(")?;
-            let ty = self.type_specifier()?;
-            self.expect_punct(")")?;
-            return Ok(Expr::new(ExprKind::SizeofType(ty), span));
+            return self.sizeof_expr();
         }
         // Cast: `(` type `)` unary — only when what follows `(` is a type.
         if self.peek().is_punct("(") && self.lookahead_is_type() {
-            self.bump();
-            let ty = self.type_specifier()?;
-            self.expect_punct(")")?;
-            let inner = self.unary_expr()?;
-            return Ok(Expr::new(
-                ExprKind::Cast {
-                    ty,
-                    expr: Box::new(inner),
-                },
-                span,
-            ));
+            return self.cast_expr();
         }
         self.postfix_expr()
+    }
+
+    fn prefix_expr(&mut self, op: UnaryOp) -> Result<Expr, ParseError> {
+        let span = self.peek_span();
+        self.bump();
+        let operand = self.operand_expr()?;
+        Ok(Expr::new(
+            ExprKind::Unary {
+                op,
+                operand: Box::new(operand),
+            },
+            span,
+        ))
+    }
+
+    fn sizeof_expr(&mut self) -> Result<Expr, ParseError> {
+        let span = self.peek_span();
+        self.bump();
+        self.expect_punct("(")?;
+        let ty = self.type_specifier()?;
+        self.expect_punct(")")?;
+        Ok(Expr::new(ExprKind::SizeofType(ty), span))
+    }
+
+    fn cast_expr(&mut self) -> Result<Expr, ParseError> {
+        let span = self.peek_span();
+        self.bump();
+        let ty = self.type_specifier()?;
+        self.expect_punct(")")?;
+        let inner = self.operand_expr()?;
+        Ok(Expr::new(
+            ExprKind::Cast {
+                ty,
+                expr: Box::new(inner),
+            },
+            span,
+        ))
     }
 
     fn lookahead_is_type(&self) -> bool {
@@ -913,104 +1040,114 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.primary_expr()?;
+        let e = self.primary_expr()?;
+        self.postfix_tail(e)
+    }
+
+    fn postfix_tail(&mut self, mut e: Expr) -> Result<Expr, ParseError> {
         loop {
             let span = self.peek_span();
-            if self.eat_punct("(") {
-                let mut args = Vec::new();
-                if !self.peek().is_punct(")") {
-                    loop {
-                        args.push(self.assignment_expr()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
+            let suffix = match self.peek() {
+                TokenKind::Punct("(") => Self::call_suffix,
+                TokenKind::Punct("[") => Self::index_suffix,
+                TokenKind::Punct(".") => Self::field_suffix,
+                TokenKind::Punct("->") => Self::arrow_suffix,
+                TokenKind::Punct("++") => Self::inc_suffix,
+                TokenKind::Punct("--") => Self::dec_suffix,
+                _ => return Ok(e),
+            };
+            self.bump();
+            e = Expr::new(suffix(self, e)?, span);
+        }
+    }
+
+    fn call_suffix(&mut self, callee: Expr) -> Result<ExprKind, ParseError> {
+        let mut args = Vec::new();
+        if !self.peek().is_punct(")") {
+            loop {
+                args.push(self.assignment_expr()?);
+                if !self.eat_punct(",") {
+                    break;
                 }
-                self.expect_punct(")")?;
-                e = Expr::new(
-                    ExprKind::Call {
-                        callee: Box::new(e),
-                        args,
-                    },
-                    span,
-                );
-            } else if self.eat_punct("[") {
-                let index = self.expr()?;
-                self.expect_punct("]")?;
-                e = Expr::new(
-                    ExprKind::Index {
-                        base: Box::new(e),
-                        index: Box::new(index),
-                    },
-                    span,
-                );
-            } else if self.eat_punct(".") {
-                let field = self.expect_ident()?;
-                e = Expr::new(
-                    ExprKind::Member {
-                        base: Box::new(e),
-                        field,
-                        arrow: false,
-                    },
-                    span,
-                );
-            } else if self.eat_punct("->") {
-                let field = self.expect_ident()?;
-                e = Expr::new(
-                    ExprKind::Member {
-                        base: Box::new(e),
-                        field,
-                        arrow: true,
-                    },
-                    span,
-                );
-            } else if self.eat_punct("++") {
-                e = Expr::new(
-                    ExprKind::Postfix {
-                        operand: Box::new(e),
-                        inc: true,
-                    },
-                    span,
-                );
-            } else if self.eat_punct("--") {
-                e = Expr::new(
-                    ExprKind::Postfix {
-                        operand: Box::new(e),
-                        inc: false,
-                    },
-                    span,
-                );
-            } else {
-                break;
             }
         }
-        Ok(e)
+        self.expect_punct(")")?;
+        Ok(ExprKind::Call {
+            callee: Box::new(callee),
+            args,
+        })
+    }
+
+    fn index_suffix(&mut self, base: Expr) -> Result<ExprKind, ParseError> {
+        let index = self.expr()?;
+        self.expect_punct("]")?;
+        Ok(ExprKind::Index {
+            base: Box::new(base),
+            index: Box::new(index),
+        })
+    }
+
+    fn field_suffix(&mut self, base: Expr) -> Result<ExprKind, ParseError> {
+        self.member_suffix(base, false)
+    }
+
+    fn arrow_suffix(&mut self, base: Expr) -> Result<ExprKind, ParseError> {
+        self.member_suffix(base, true)
+    }
+
+    fn member_suffix(&mut self, base: Expr, arrow: bool) -> Result<ExprKind, ParseError> {
+        let field = self.expect_ident()?;
+        Ok(ExprKind::Member {
+            base: Box::new(base),
+            field,
+            arrow,
+        })
+    }
+
+    fn inc_suffix(&mut self, operand: Expr) -> Result<ExprKind, ParseError> {
+        Ok(ExprKind::Postfix {
+            operand: Box::new(operand),
+            inc: true,
+        })
+    }
+
+    fn dec_suffix(&mut self, operand: Expr) -> Result<ExprKind, ParseError> {
+        Ok(ExprKind::Postfix {
+            operand: Box::new(operand),
+            inc: false,
+        })
     }
 
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
+        if self.eat_punct("(") {
+            let e = self.expr()?;
+            self.expect_punct(")")?;
+            return Ok(e);
+        }
+        self.atom()
+    }
+
+    /// A literal or identifier.
+    fn atom(&mut self) -> Result<Expr, ParseError> {
         let span = self.peek_span();
-        match self.bump() {
-            TokenKind::Int(v, text) => Ok(Expr::new(ExprKind::IntLit(v, text), span)),
-            TokenKind::Float(v, text) => Ok(Expr::new(ExprKind::FloatLit(v, text), span)),
-            TokenKind::Char(c) => Ok(Expr::new(ExprKind::CharLit(c), span)),
-            TokenKind::Str(s) => Ok(Expr::new(ExprKind::StrLit(s), span)),
+        let kind = match self.take() {
+            TokenKind::Int(v, text) => ExprKind::IntLit(v, text),
+            TokenKind::Float(v, text) => ExprKind::FloatLit(v, text),
+            TokenKind::Char(c) => ExprKind::CharLit(c),
+            TokenKind::Str(s) => ExprKind::StrLit(s),
             TokenKind::Ident(name) => {
                 if crate::token::is_keyword(&name) {
                     return self.err(format!("unexpected keyword `{name}` in expression"));
                 }
                 if self.wildcards.contains(&name) {
-                    Ok(Expr::new(ExprKind::Wildcard(name), span))
+                    ExprKind::Wildcard(name)
                 } else {
-                    Ok(Expr::new(ExprKind::Ident(name), span))
+                    ExprKind::Ident(name)
                 }
             }
-            TokenKind::Punct("(") => {
-                let e = self.expr()?;
-                self.expect_punct(")")?;
-                Ok(e)
-            }
-            other => self.err(format!("expected expression, found `{other}`")),
-        }
+            other => return self.err(format!("expected expression, found `{other}`")),
+        };
+        Ok(Expr::new(kind, span))
     }
 }
 
@@ -1303,6 +1440,81 @@ mod tests {
                 "{op}"
             );
         }
+    }
+
+    /// `n` parentheses around an assignment's right-hand side. The
+    /// statement, the expression and the right-hand side take three more
+    /// levels.
+    fn nested_parens(n: usize) -> String {
+        format!(
+            "void f(void) {{ int x; x = {}1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )
+    }
+
+    /// `n` nested blocks: `n` levels.
+    fn nested_braces(n: usize) -> String {
+        format!("void f(void) {{ {}{} }}", "{".repeat(n), "}".repeat(n))
+    }
+
+    fn depth_error(src: &str) -> ParseError {
+        let err = parse_translation_unit(src, "deep.c").unwrap_err();
+        assert!(err.message.contains("nested deeper than"), "{err}");
+        err
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        parse_translation_unit(&nested_parens(MAX_NESTING - 3), "deep.c").unwrap();
+        parse_translation_unit(&nested_braces(MAX_NESTING), "deep.c").unwrap();
+        // Statement, expression and call argument, then one per `!`.
+        let bangs = format!("void f(void) {{ g({}x); }}", "!".repeat(MAX_NESTING - 3));
+        parse_translation_unit(&bangs, "deep.c").unwrap();
+        // Expressions count on top of the statements around them.
+        let half = MAX_NESTING / 2;
+        let mixed = format!(
+            "void f(void) {{ {}x = {}1{}; }}",
+            "if (a) ".repeat(half),
+            "(".repeat(MAX_NESTING - half - 3),
+            ")".repeat(MAX_NESTING - half - 3)
+        );
+        parse_translation_unit(&mixed, "deep.c").unwrap();
+        depth_error(&mixed.replacen("x = ", "x = (", 1).replacen(";", ");", 1));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        depth_error(&nested_parens(MAX_NESTING - 2));
+        depth_error(&nested_braces(MAX_NESTING + 1));
+        let err = depth_error(&nested_parens(5000));
+        assert_eq!(err.file, "deep.c");
+        assert_eq!(err.span.line, 1);
+        depth_error(&nested_braces(100_000));
+        // Right-recursive chains and non-paren nesting are charged too.
+        let chain = format!("void f(void) {{ a{} = 1; }}", " = a".repeat(5000));
+        depth_error(&chain);
+        let bangs = format!("void f(void) {{ g({}x); }}", "!".repeat(5000));
+        depth_error(&bangs);
+        let labels = format!("void f(void) {{ {} ; }}", "l: ".repeat(5000));
+        depth_error(&labels);
+        let init = format!("int g = {}1{};", "{".repeat(5000), "}".repeat(5000));
+        depth_error(&init);
+    }
+
+    #[test]
+    fn depth_unwinds_between_statements() {
+        let limit = nested_braces(MAX_NESTING);
+        let src = format!(
+            "{}\n{}\n{}",
+            nested_parens(MAX_NESTING - 3),
+            limit.replace("void f", "void g"),
+            limit.replace("void f", "void h")
+        );
+        assert_eq!(
+            parse_translation_unit(&src, "deep.c").unwrap().items.len(),
+            3
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@ use mc_ast::{
     Stmt, StmtKind, Type, UnaryOp,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Strategy for identifier names that cannot collide with keywords.
 fn ident() -> impl Strategy<Value = String> {
@@ -96,20 +97,20 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 
 fn arb_stmt() -> impl Strategy<Value = Stmt> {
     let leaf = prop_oneof![
-        arb_expr().prop_map(|e| Stmt::synth(StmtKind::Expr(e))),
+        arb_expr().prop_map(|e| Stmt::synth(StmtKind::Expr(Arc::new(e)))),
         Just(Stmt::synth(StmtKind::Empty)),
         Just(Stmt::synth(StmtKind::Break)),
         Just(Stmt::synth(StmtKind::Continue)),
         Just(Stmt::synth(StmtKind::Return(None))),
-        arb_expr().prop_map(|e| Stmt::synth(StmtKind::Return(Some(e)))),
+        arb_expr().prop_map(|e| Stmt::synth(StmtKind::Return(Some(Arc::new(e))))),
         (ident(), prop::option::of(arb_expr())).prop_map(|(name, init)| {
-            Stmt::synth(StmtKind::Decl(mc_ast::Declaration {
+            Stmt::synth(StmtKind::Decl(Arc::new(mc_ast::Declaration {
                 storage: Default::default(),
                 ty: Type::int(),
                 name,
                 init: init.map(Initializer::Expr),
                 span: Span::default(),
-            }))
+            })))
         }),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
@@ -118,18 +119,18 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
                 .prop_map(|body| Stmt::synth(StmtKind::Block(body))),
             (arb_expr(), inner.clone(), prop::option::of(inner.clone())).prop_map(
                 |(cond, then, els)| Stmt::synth(StmtKind::If {
-                    cond,
+                    cond: Arc::new(cond),
                     then: Box::new(then),
                     els: els.map(Box::new)
                 })
             ),
             (arb_expr(), inner.clone()).prop_map(|(cond, body)| Stmt::synth(StmtKind::While {
-                cond,
+                cond: Arc::new(cond),
                 body: Box::new(body)
             })),
             (inner.clone(), arb_expr()).prop_map(|(body, cond)| Stmt::synth(StmtKind::DoWhile {
                 body: Box::new(body),
-                cond
+                cond: Arc::new(cond)
             })),
         ]
     })

@@ -179,15 +179,14 @@ struct ScaleBench {
     reports: usize,
 }
 
+/// Per protocol of a fleet: its `(source, file name)` pairs.
+type FleetSources = Vec<Vec<(String, String)>>;
+
 /// Generates the `--scale` fleet corpus and measures a cold check of it.
 fn bench_scale(
     scale: usize,
     jobs: usize,
-) -> (
-    ScaleBench,
-    Vec<Vec<(String, String)>>,
-    Vec<mc_checkers::flash::FlashSpec>,
-) {
+) -> (ScaleBench, FleetSources, Vec<mc_checkers::flash::FlashSpec>) {
     let start = Instant::now();
     let fleet = mc_corpus::generate_fleet(DEFAULT_SEED, scale);
     let gen_ms = start.elapsed().as_secs_f64() * 1e3;

@@ -2,6 +2,7 @@
 
 use mc_ast::{Expr, Function, Span, Stmt, StmtKind};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a basic block within its [`Cfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -10,13 +11,17 @@ pub struct BlockId(pub usize);
 /// An atomic, straight-line unit of execution inside a block: an expression
 /// statement, a declaration, or an empty statement. Checker state machines
 /// observe these in path order.
+///
+/// The statement's payload is the function body's own node: building the
+/// graph shares it rather than copying it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The statement (always one of the atomic kinds).
     pub stmt: Stmt,
 }
 
-/// How a block ends.
+/// How a block ends. Condition, scrutinee, case-value and return
+/// expressions are the function body's own nodes, shared.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
     /// Unconditional edge.
@@ -24,7 +29,7 @@ pub enum Terminator {
     /// Two-way branch on `cond`.
     Branch {
         /// Branch condition (observed by checkers as a path event).
-        cond: Expr,
+        cond: Arc<Expr>,
         /// Successor when the condition is true.
         then_to: BlockId,
         /// Successor when the condition is false.
@@ -33,9 +38,9 @@ pub enum Terminator {
     /// Multi-way branch from a `switch`.
     Switch {
         /// The switched expression.
-        scrutinee: Expr,
+        scrutinee: Arc<Expr>,
         /// `(case value, target)` pairs; `None` value is `default`.
-        targets: Vec<(Option<Expr>, BlockId)>,
+        targets: Vec<(Option<Arc<Expr>>, BlockId)>,
         /// Where control flows when no case matches and there is no
         /// `default` (the block after the switch).
         fallthrough: BlockId,
@@ -44,7 +49,7 @@ pub enum Terminator {
     /// a distinct exit.
     Return {
         /// Returned value, if any.
-        value: Option<Expr>,
+        value: Option<Arc<Expr>>,
         /// Location of the `return` (or of the closing brace for the
         /// implicit return at the end of a `void` function).
         span: Span,
@@ -341,10 +346,11 @@ impl Builder {
                 let after = self.new_block();
                 // One block per case arm; fallthrough chains arm i -> i+1.
                 let arm_blocks: Vec<BlockId> = cases.iter().map(|_| self.new_block()).collect();
-                let mut targets = Vec::new();
-                for (case, block) in cases.iter().zip(&arm_blocks) {
-                    targets.push((case.value.clone(), *block));
-                }
+                let targets = cases
+                    .iter()
+                    .zip(&arm_blocks)
+                    .map(|(case, block)| (case.value.clone(), *block))
+                    .collect();
                 self.set_term(
                     cur,
                     Terminator::Switch {

@@ -23,6 +23,7 @@ use crate::witness::{StepKind, Witness, WitnessArena, WitnessId};
 use mc_ast::{Expr, Span, Stmt};
 use std::collections::HashSet;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// An observable event along an execution path.
 #[derive(Debug, Clone, Copy)]
@@ -47,8 +48,9 @@ pub enum PathEvent<'a> {
     },
     /// Function exit via `return` (or the implicit end-of-body return).
     Return {
-        /// Returned value, if any.
-        value: Option<&'a Expr>,
+        /// Returned value, if any (shared, so a machine that keeps the
+        /// return statement holds a reference, not a copy).
+        value: Option<&'a Arc<Expr>>,
         /// Location of the return.
         span: Span,
     },
@@ -485,10 +487,10 @@ fn initial_facts(cfg: &Cfg, prune: bool) -> FactSet {
 }
 
 /// The labelled constants of a switch, for default-edge exclusion facts.
-fn switch_consts(targets: &[(Option<Expr>, BlockId)]) -> Vec<Const> {
+fn switch_consts(targets: &[(Option<Arc<Expr>>, BlockId)]) -> Vec<Const> {
     targets
         .iter()
-        .filter_map(|(v, _)| v.as_ref().and_then(const_of))
+        .filter_map(|(v, _)| v.as_deref().and_then(const_of))
         .collect()
 }
 
@@ -686,7 +688,7 @@ fn run_state_set<M: PathMachine>(
                 let case_facts: Vec<Option<FactSet>> = targets
                     .iter()
                     .enumerate()
-                    .map(|(arm, (value, _))| edge_facts(value.as_ref(), arm, refuted))
+                    .map(|(arm, (value, _))| edge_facts(value.as_deref(), arm, refuted))
                     .collect();
                 let fall_facts = if has_default {
                     None
@@ -712,7 +714,7 @@ fn run_state_set<M: PathMachine>(
                         let Some(f) = f else { continue };
                         let ev = PathEvent::Case {
                             scrutinee,
-                            value: value.as_ref(),
+                            value: value.as_deref(),
                         };
                         let witness = arena.witness(*cw);
                         succ.clear();
@@ -926,7 +928,7 @@ fn run_exhaustive<M: PathMachine>(
                 let has_default = targets.iter().any(|(v, _)| v.is_none());
                 let consts = switch_consts(targets);
                 let mut edges: Vec<(Option<&Expr>, BlockId)> =
-                    targets.iter().map(|(v, t)| (v.as_ref(), *t)).collect();
+                    targets.iter().map(|(v, t)| (v.as_deref(), *t)).collect();
                 if !has_default {
                     edges.push((None, *fallthrough));
                 }

@@ -482,6 +482,68 @@ fn topo_order(adj: &[Vec<usize>], entry: usize) -> Vec<usize> {
     post
 }
 
+/// Tarjan's strongly-connected components over an adjacency list,
+/// iteratively (call-graph chains can be deep). SCCs are returned in
+/// reverse topological order of the condensation: every SCC appears after
+/// all SCCs it can reach — exactly the callees-first order the summary
+/// engine wants.
+pub fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = adj.len();
+    let mut indices: Vec<Option<usize>> = vec![None; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    let mut index = 0usize;
+    // Explicit DFS frames: (node, next child index).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for start in 0..n {
+        if indices[start].is_some() {
+            continue;
+        }
+        frames.push((start, 0));
+        indices[start] = Some(index);
+        low[start] = index;
+        index += 1;
+        stack.push(start);
+        on_stack[start] = true;
+        while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
+            if *ci < adj[v].len() {
+                let w = adj[v][*ci];
+                *ci += 1;
+                if indices[w].is_none() {
+                    indices[w] = Some(index);
+                    low[w] = index;
+                    index += 1;
+                    stack.push(w);
+                    on_stack[w] = true;
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(indices[w].expect("indexed"));
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == indices[v].expect("indexed") {
+                    let mut scc = Vec::new();
+                    loop {
+                        let w = stack.pop().expect("stack non-empty");
+                        on_stack[w] = false;
+                        scc.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    sccs.push(scc);
+                }
+            }
+        }
+    }
+    sccs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,66 +721,4 @@ mod tests {
         assert!(!c.iter().any(|k| k.starts_with("loc")), "{c:?}");
         assert!(!c.iter().any(|k| k.starts_with('p')), "{c:?}");
     }
-}
-
-/// Tarjan's strongly-connected components over an adjacency list,
-/// iteratively (call-graph chains can be deep). SCCs are returned in
-/// reverse topological order of the condensation: every SCC appears after
-/// all SCCs it can reach — exactly the callees-first order the summary
-/// engine wants.
-pub fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = adj.len();
-    let mut indices: Vec<Option<usize>> = vec![None; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut index = 0usize;
-    // Explicit DFS frames: (node, next child index).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if indices[start].is_some() {
-            continue;
-        }
-        frames.push((start, 0));
-        indices[start] = Some(index);
-        low[start] = index;
-        index += 1;
-        stack.push(start);
-        on_stack[start] = true;
-        while let Some(&mut (v, ref mut ci)) = frames.last_mut() {
-            if *ci < adj[v].len() {
-                let w = adj[v][*ci];
-                *ci += 1;
-                if indices[w].is_none() {
-                    indices[w] = Some(index);
-                    low[w] = index;
-                    index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(indices[w].expect("indexed"));
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == indices[v].expect("indexed") {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("stack non-empty");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }

@@ -580,8 +580,10 @@ mod tests {
             let mut sink = CheckSink::new();
             let f = tu.functions().next().unwrap();
             let cfg = Cfg::build(f);
-            let mut traversal = mc_cfg::Traversal::default();
-            traversal.prune = prune;
+            let traversal = mc_cfg::Traversal {
+                prune,
+                ..Default::default()
+            };
             let ctx = FunctionContext {
                 file: "t.c",
                 unit: &tu,

@@ -90,7 +90,7 @@ proptest! {
         seed in any::<u64>()
     ) {
         let proto = generate(plan_for("bitvector").unwrap(), seed);
-        let mut driver = Driver::new();
+        let driver = Driver::new();
         let units = driver.parse_units(&proto.sources()).unwrap();
         let loopy: std::collections::HashSet<String> = units
             .iter()

@@ -585,16 +585,35 @@ impl FromJson for ProgramRecord {
 /// than this belongs to a dead writer and may be taken over or evicted.
 const CLAIM_TTL: std::time::Duration = std::time::Duration::from_secs(600);
 
+/// The current time on the clock that stamps files in `dir`: the mtime of a
+/// file written there now (and removed again).
+///
+/// Record freshness compares file mtimes, which the kernel takes from a
+/// coarser clock than `SystemTime::now()`; a file written just after a
+/// `now()` read can carry an earlier mtime. Reading both sides of the
+/// comparison from the filesystem keeps "written after this handle
+/// opened" exact.
+fn fs_now(dir: &Path) -> io::Result<std::time::SystemTime> {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let stamp = dir.join(format!(".open-{}-{seq}.stamp", std::process::id()));
+    std::fs::write(&stamp, b"")?;
+    let mtime = std::fs::metadata(&stamp).and_then(|m| m.modified());
+    let _ = std::fs::remove_file(&stamp);
+    mtime
+}
+
 /// A directory of cache record files.
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     dir: PathBuf,
     cap_bytes: Option<u64>,
-    /// When this handle was opened. Eviction never removes files modified
-    /// at or after this stamp **unless this handle wrote them**, so
-    /// concurrent writers sharing the directory (the shard farm) cannot
-    /// evict each other's fresh records out from under a merge, while a
-    /// single capped run still trims its own output to the bound.
+    /// When this handle was opened, on the filesystem's clock (see
+    /// [`fs_now`]). Eviction never removes files modified at or after this
+    /// stamp **unless this handle wrote them**, so concurrent writers
+    /// sharing the directory (the shard farm) cannot evict each other's
+    /// fresh records out from under a merge, while a single capped run
+    /// still trims its own output to the bound.
     run_start: std::time::SystemTime,
     /// Record paths this handle wrote, shared across clones so a cloned
     /// handle keeps the same eviction identity.
@@ -613,10 +632,12 @@ impl DiskCache {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        // An unwritable directory stores nothing, so any stamp will do.
+        let run_start = fs_now(&dir).unwrap_or_else(|_| std::time::SystemTime::now());
         Ok(DiskCache {
             dir,
             cap_bytes: None,
-            run_start: std::time::SystemTime::now(),
+            run_start,
             own: std::sync::Arc::new(std::sync::Mutex::new(std::collections::HashSet::new())),
         })
     }
@@ -1022,6 +1043,79 @@ mod tests {
                 "record {i} of a concurrent writer was evicted"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cap_keeps_a_concurrent_record_the_filesystem_stamped_with_the_opening_tick() {
+        // The kernel stamps mtimes from a coarse clock, so a record another
+        // writer stores just after `a` opened can carry the very tick `a`'s
+        // opening stamp got, earlier than a `SystemTime::now()` read taken
+        // at the same moment. Pin every such record to that tick (the
+        // worst lag possible) and check `a`'s eviction keeps them, while a
+        // record one tick older is fair game.
+        let dir = std::env::temp_dir().join(format!("mc-cache-tick-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let b = DiskCache::open(&dir).unwrap();
+        let base = sample_unit();
+        let mut old = base.clone();
+        old.src_key += 50;
+        old.ast_key += 50;
+        b.store_unit(&old);
+        let mut a = DiskCache::open(&dir).unwrap();
+        a.set_cap_bytes(Some(1));
+        let before_open = a.run_start - std::time::Duration::from_millis(1);
+        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+            let file = std::fs::File::options()
+                .write(true)
+                .open(entry.path())
+                .unwrap();
+            file.set_modified(before_open).unwrap();
+        }
+        for i in 0..3u64 {
+            let mut rec = base.clone();
+            rec.src_key = base.src_key + i;
+            rec.ast_key = base.ast_key + i;
+            b.store_unit(&rec);
+            for path in [b.path("usrc", rec.src_key), b.path("uast", rec.ast_key)] {
+                let file = std::fs::File::options().write(true).open(path).unwrap();
+                file.set_modified(a.run_start).unwrap();
+            }
+        }
+        let mut own = base.clone();
+        own.src_key = base.src_key + 100;
+        own.ast_key = base.ast_key + 100;
+        a.store_unit(&own);
+        for i in 0..3u64 {
+            assert!(
+                b.load_unit_by_source(base.src_key + i).is_some(),
+                "record {i}, stamped in the opening tick, was evicted"
+            );
+        }
+        assert!(b.load_unit_by_source(old.src_key).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_start_is_read_from_the_filesystem_clock() {
+        // Whatever the lag between the system clock and file stamps, a
+        // file written after a handle opens is never older than its
+        // `run_start`, and the opening stamp is not left behind.
+        let dir = std::env::temp_dir().join(format!("mc-cache-clock-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for i in 0..50 {
+            let cache = DiskCache::open(&dir).unwrap();
+            let probe = dir.join(format!("probe-{i}.json"));
+            std::fs::write(&probe, b"{}").unwrap();
+            let mtime = std::fs::metadata(&probe).unwrap().modified().unwrap();
+            assert!(mtime >= cache.run_start, "write {i} predates its handle");
+        }
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(names.iter().all(|n| n.starts_with("probe-")), "{names:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -129,6 +129,15 @@ pub(crate) struct Confirmation {
     pub(crate) cached: usize,
 }
 
+/// The simulator program of one component: its units' function
+/// definitions, shared with the parsed units, plus the run-wide constants.
+fn component_program(units: &[&CheckedUnit], consts: &ConstTable) -> mc_sim::Program {
+    mc_sim::Program::from_parts(
+        units.iter().flat_map(|u| u.unit.shared_functions()),
+        consts.map.clone(),
+    )
+}
+
 impl Driver {
     /// Confirms one call-graph component's reports in place: replays every
     /// distinct replayable `sat` witness that `known` (outcomes from an
@@ -154,10 +163,7 @@ impl Driver {
         let fresh: Vec<bool> = if missing.is_empty() {
             Vec::new()
         } else {
-            let program = mc_sim::Program::from_parts(
-                units.iter().flat_map(|u| u.unit.functions()),
-                consts.map.clone(),
-            );
+            let program = component_program(units, consts);
             self.pool_map(missing.len(), |i| {
                 let k = missing[i];
                 mc_sim::replay(program.clone(), &k.checker, &k.function, &k.model)
@@ -175,5 +181,36 @@ impl Driver {
         }
         promote(reports, &out.outcomes);
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mc_ast::parse_translation_unit;
+
+    #[test]
+    fn component_program_shares_the_units_functions() {
+        let units: Vec<CheckedUnit> = [
+            (
+                "enum E { A = 3 };\nvoid h(void) { g(); }\nint g(void) { return A; }",
+                "a.c",
+            ),
+            ("void k(void) { h(); }", "b.c"),
+        ]
+        .iter()
+        .map(|(src, file)| CheckedUnit::new(parse_translation_unit(src, file).unwrap()))
+        .collect();
+        let refs: Vec<&CheckedUnit> = units.iter().collect();
+        let consts = ConstTable::new(units.iter().map(|u| u.constants()));
+        let program = component_program(&refs, &consts);
+        assert_eq!(program.len(), 3);
+        assert_eq!(program.constant("A"), Some(3));
+        for f in units.iter().flat_map(|u| u.unit.shared_functions()) {
+            let held = program
+                .shared_function(&f.name)
+                .expect("function in program");
+            assert!(Arc::ptr_eq(&held, f), "{} is copied", f.name);
+        }
     }
 }

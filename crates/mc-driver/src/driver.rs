@@ -1388,6 +1388,7 @@ mod tests {
     use crate::report::Severity;
     use mc_ast::Span;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     const SM: &str = r#"
         sm wait_for_db {
@@ -1744,5 +1745,117 @@ mod tests {
         assert_eq!(cu.cfgs.len(), 2);
         let names: Vec<&str> = cu.functions().map(|(f, _)| f.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
+    }
+
+    /// Addresses of every shared payload in a statement list: expression
+    /// and declaration statements, and condition, scrutinee, step,
+    /// case-value and return expressions.
+    fn ast_payloads(stmts: &[mc_ast::Stmt], out: &mut Vec<*const ()>) {
+        use mc_ast::StmtKind;
+        fn expr(e: &Arc<mc_ast::Expr>) -> *const () {
+            Arc::as_ptr(e).cast()
+        }
+        for s in stmts {
+            match &s.kind {
+                StmtKind::Expr(e) => out.push(expr(e)),
+                StmtKind::Decl(d) => out.push(Arc::as_ptr(d).cast()),
+                StmtKind::Block(b) => ast_payloads(b, out),
+                StmtKind::If { cond, then, els } => {
+                    out.push(expr(cond));
+                    ast_payloads(std::slice::from_ref(then), out);
+                    if let Some(els) = els {
+                        ast_payloads(std::slice::from_ref(els), out);
+                    }
+                }
+                StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
+                    out.push(expr(cond));
+                    ast_payloads(std::slice::from_ref(body), out);
+                }
+                StmtKind::For {
+                    init,
+                    cond,
+                    step,
+                    body,
+                } => {
+                    if let Some(init) = init {
+                        ast_payloads(std::slice::from_ref(init), out);
+                    }
+                    out.extend(cond.iter().chain(step).map(expr));
+                    ast_payloads(std::slice::from_ref(body), out);
+                }
+                StmtKind::Switch { scrutinee, cases } => {
+                    out.push(expr(scrutinee));
+                    for case in cases {
+                        out.extend(case.value.iter().map(expr));
+                        ast_payloads(&case.body, out);
+                    }
+                }
+                StmtKind::Return(value) => out.extend(value.iter().map(expr)),
+                StmtKind::Label(_, inner) => ast_payloads(std::slice::from_ref(inner), out),
+                StmtKind::Empty | StmtKind::Break | StmtKind::Continue | StmtKind::Goto(_) => {}
+            }
+        }
+    }
+
+    /// Addresses of every payload the graph holds, from nodes and
+    /// terminators.
+    fn cfg_payloads(cfg: &Cfg) -> Vec<*const ()> {
+        use mc_ast::StmtKind;
+        use mc_cfg::Terminator;
+        let mut out: Vec<*const ()> = Vec::new();
+        for (_, block) in cfg.iter() {
+            for node in &block.nodes {
+                match &node.stmt.kind {
+                    StmtKind::Expr(e) => out.push(Arc::as_ptr(e).cast()),
+                    StmtKind::Decl(d) => out.push(Arc::as_ptr(d).cast()),
+                    StmtKind::Empty => {}
+                    other => panic!("non-atomic node {other:?}"),
+                }
+            }
+            match &block.term {
+                Terminator::Jump(_) => {}
+                Terminator::Branch { cond, .. } => out.push(Arc::as_ptr(cond).cast()),
+                Terminator::Switch {
+                    scrutinee, targets, ..
+                } => {
+                    out.push(Arc::as_ptr(scrutinee).cast());
+                    out.extend(
+                        targets
+                            .iter()
+                            .flat_map(|(v, _)| v)
+                            .map(|v| Arc::as_ptr(v).cast()),
+                    );
+                }
+                Terminator::Return { value, .. } => {
+                    out.extend(value.iter().map(|v| Arc::as_ptr(v).cast()))
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cfg_nodes_and_terminators_share_the_units_ast() {
+        let src = "int f(int n) {\n\
+                   int i = 0; g();\n\
+                   if (n) { h(); } else { k(); }\n\
+                   while (i < n) i++;\n\
+                   do { i--; } while (i);\n\
+                   for (i = 0; i < 3; i = i + 1) { g(); }\n\
+                   switch (n) { case 1: g(); break; case 2: default: h(); }\n\
+                   return n + 1;\n\
+                   }";
+        let cu = CheckedUnit::new(parse_translation_unit(src, "t.c").unwrap());
+        let (func, cfg) = cu.functions().next().unwrap();
+        let mut ast = Vec::new();
+        ast_payloads(&func.body, &mut ast);
+        let mut shared = cfg_payloads(cfg);
+        // Every payload appears in the graph (loop conditions once, the
+        // `for` step as a node) and every graph payload is the AST's own.
+        shared.sort();
+        shared.dedup();
+        ast.sort();
+        assert_eq!(shared, ast);
+        assert_eq!(ast.len(), 19);
     }
 }

@@ -1388,6 +1388,114 @@ impl CheckEngine {
     }
 }
 
+fn ast_key_of(suite: u64, file: &str, ast_fp: u64) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(suite).write_str(file).write_u64(ast_fp);
+    h.finish()
+}
+
+/// The mutable-slot key of a file's function index: suite plus file name,
+/// deliberately *not* content — the record is a snapshot that each run
+/// diffs against and overwrites.
+fn fn_index_key(suite: u64, file: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(suite).write_str(file);
+    h.finish()
+}
+
+/// The names and body fingerprints of every same-unit function
+/// transitively reachable from `start` through call edges — the exact
+/// callee-body set witness refutation may inline while replaying one of
+/// `start`'s reports.
+fn local_call_closure(
+    start: usize,
+    names: &[&str],
+    index_of: &HashMap<&str, usize>,
+    calls: &[Vec<String>],
+    fps: &[mc_ast::FnFingerprint],
+) -> Vec<(String, u64)> {
+    let mut seen: HashSet<usize> = HashSet::new();
+    seen.insert(start);
+    let mut stack = vec![start];
+    while let Some(k) = stack.pop() {
+        for callee in &calls[k] {
+            if let Some(&t) = index_of.get(callee.as_str()) {
+                if seen.insert(t) {
+                    stack.push(t);
+                }
+            }
+        }
+    }
+    seen.remove(&start);
+    let mut deps: Vec<(String, u64)> = seen
+        .into_iter()
+        .map(|t| (names[t].to_string(), fps[t].body))
+        .collect();
+    deps.sort_unstable();
+    deps
+}
+
+/// Fans a batch of queries out over the driver's worker pool and returns
+/// their outputs in query order.
+fn run_queries(
+    driver: &Driver,
+    sources: &[(String, String)],
+    tu_slots: &[Mutex<Option<TranslationUnit>>],
+    parsed: &[Option<ParsedUnit>],
+    unit_summaries: &[Option<Arc<Summaries>>],
+    queries: &[Query],
+) -> Vec<QueryOutput> {
+    let store_of =
+        |unit: usize| -> Option<&Summaries> { unit_summaries.get(unit).and_then(|s| s.as_deref()) };
+    driver.pool_map(queries.len(), |qi| match queries[qi] {
+        Query::Parse(i) => {
+            let (src, file) = &sources[i];
+            QueryOutput::Parsed(parse_translation_unit(src, file).map(|tu| {
+                let fp = Fingerprint::of_unit(&tu);
+                (tu, fp)
+            }))
+        }
+        Query::Cfg(i) => {
+            let tu = tu_slots[i]
+                .lock()
+                .unwrap()
+                .take()
+                .expect("parse ran before cfg");
+            QueryOutput::Cfg(Arc::new(CheckedUnit::new(tu)))
+        }
+        Query::Check { unit, function } => {
+            let cu = parsed[unit].as_ref().expect("cfg ran before check");
+            let f = cu
+                .unit
+                .unit
+                .functions()
+                .nth(function)
+                .expect("function index in range");
+            QueryOutput::Checked(driver.check_one_function(
+                &cu.unit,
+                f,
+                &cu.unit.cfgs[function],
+                store_of(unit),
+            ))
+        }
+        Query::Facts { unit, function } => {
+            let cu = parsed[unit].as_ref().expect("cfg ran before facts");
+            let f = cu
+                .unit
+                .unit
+                .functions()
+                .nth(function)
+                .expect("function index in range");
+            QueryOutput::Facts(driver.collect_function_facts(
+                &cu.unit,
+                f,
+                &cu.unit.cfgs[function],
+                store_of(unit),
+            ))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1599,112 +1707,4 @@ mod tests {
         let (_, stats) = engine.check_sources(&d, &srcs).unwrap();
         assert_eq!(stats.units_checked, 1);
     }
-}
-
-fn ast_key_of(suite: u64, file: &str, ast_fp: u64) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(suite).write_str(file).write_u64(ast_fp);
-    h.finish()
-}
-
-/// The mutable-slot key of a file's function index: suite plus file name,
-/// deliberately *not* content — the record is a snapshot that each run
-/// diffs against and overwrites.
-fn fn_index_key(suite: u64, file: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(suite).write_str(file);
-    h.finish()
-}
-
-/// The names and body fingerprints of every same-unit function
-/// transitively reachable from `start` through call edges — the exact
-/// callee-body set witness refutation may inline while replaying one of
-/// `start`'s reports.
-fn local_call_closure(
-    start: usize,
-    names: &[&str],
-    index_of: &HashMap<&str, usize>,
-    calls: &[Vec<String>],
-    fps: &[mc_ast::FnFingerprint],
-) -> Vec<(String, u64)> {
-    let mut seen: HashSet<usize> = HashSet::new();
-    seen.insert(start);
-    let mut stack = vec![start];
-    while let Some(k) = stack.pop() {
-        for callee in &calls[k] {
-            if let Some(&t) = index_of.get(callee.as_str()) {
-                if seen.insert(t) {
-                    stack.push(t);
-                }
-            }
-        }
-    }
-    seen.remove(&start);
-    let mut deps: Vec<(String, u64)> = seen
-        .into_iter()
-        .map(|t| (names[t].to_string(), fps[t].body))
-        .collect();
-    deps.sort_unstable();
-    deps
-}
-
-/// Fans a batch of queries out over the driver's worker pool and returns
-/// their outputs in query order.
-fn run_queries(
-    driver: &Driver,
-    sources: &[(String, String)],
-    tu_slots: &[Mutex<Option<TranslationUnit>>],
-    parsed: &[Option<ParsedUnit>],
-    unit_summaries: &[Option<Arc<Summaries>>],
-    queries: &[Query],
-) -> Vec<QueryOutput> {
-    let store_of =
-        |unit: usize| -> Option<&Summaries> { unit_summaries.get(unit).and_then(|s| s.as_deref()) };
-    driver.pool_map(queries.len(), |qi| match queries[qi] {
-        Query::Parse(i) => {
-            let (src, file) = &sources[i];
-            QueryOutput::Parsed(parse_translation_unit(src, file).map(|tu| {
-                let fp = Fingerprint::of_unit(&tu);
-                (tu, fp)
-            }))
-        }
-        Query::Cfg(i) => {
-            let tu = tu_slots[i]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("parse ran before cfg");
-            QueryOutput::Cfg(Arc::new(CheckedUnit::new(tu)))
-        }
-        Query::Check { unit, function } => {
-            let cu = parsed[unit].as_ref().expect("cfg ran before check");
-            let f = cu
-                .unit
-                .unit
-                .functions()
-                .nth(function)
-                .expect("function index in range");
-            QueryOutput::Checked(driver.check_one_function(
-                &cu.unit,
-                f,
-                &cu.unit.cfgs[function],
-                store_of(unit),
-            ))
-        }
-        Query::Facts { unit, function } => {
-            let cu = parsed[unit].as_ref().expect("cfg ran before facts");
-            let f = cu
-                .unit
-                .unit
-                .functions()
-                .nth(function)
-                .expect("function index in range");
-            QueryOutput::Facts(driver.collect_function_facts(
-                &cu.unit,
-                f,
-                &cu.unit.cfgs[function],
-                store_of(unit),
-            ))
-        }
-    })
 }

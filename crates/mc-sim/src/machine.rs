@@ -48,7 +48,7 @@ impl Program {
     pub fn from_units(units: &[TranslationUnit]) -> Program {
         let constants = units.iter().flat_map(constant_decls).collect();
         Program::from_parts(
-            units.iter().flat_map(|tu| tu.functions()),
+            units.iter().flat_map(|tu| tu.shared_functions()),
             Arc::new(constants),
         )
     }
@@ -56,14 +56,14 @@ impl Program {
     /// Builds a program from function definitions and a constant table
     /// resolved elsewhere (a caller simulating part of a larger program
     /// still resolves constants from all of it). The last definition of a
-    /// name wins.
+    /// name wins. The program shares the parsed definitions.
     pub fn from_parts<'a>(
-        functions: impl IntoIterator<Item = &'a Function>,
+        functions: impl IntoIterator<Item = &'a Arc<Function>>,
         constants: Arc<HashMap<String, i64>>,
     ) -> Program {
         let functions = functions
             .into_iter()
-            .map(|f| (f.name.clone(), Arc::new(f.clone())))
+            .map(|f| (f.name.clone(), Arc::clone(f)))
             .collect();
         Program {
             functions: Arc::new(functions),
@@ -83,7 +83,7 @@ impl Program {
 
     /// Looks up a function by name as a shared handle, so the machine can
     /// run it while mutating itself without copying the body.
-    pub(crate) fn shared_function(&self, name: &str) -> Option<Arc<Function>> {
+    pub fn shared_function(&self, name: &str) -> Option<Arc<Function>> {
         self.functions.get(name).cloned()
     }
 

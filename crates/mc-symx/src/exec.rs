@@ -771,7 +771,7 @@ fn inlinable(f: &Function) -> bool {
                 _ => true,
             },
             StmtKind::Block(body) => body.iter().all(stmt_ok),
-            StmtKind::Return(e) => e.as_ref().is_none_or(expr_ok),
+            StmtKind::Return(e) => e.as_deref().is_none_or(expr_ok),
             StmtKind::Empty => true,
             _ => false,
         }

@@ -32,8 +32,11 @@
 
 use mc_ast::{Expr, Span, Stmt};
 use mc_cfg::{BlockId, Cfg, PathStep, Terminator};
+use std::sync::Arc;
 
-/// One operation of the reconstructed path, in execution order.
+/// One operation of the reconstructed path, in execution order. Statements
+/// and expressions are the CFG's (and so the parsed function's) own nodes,
+/// shared.
 #[derive(Debug, Clone)]
 pub enum PathOp {
     /// A straight-line statement was executed.
@@ -41,14 +44,14 @@ pub enum PathOp {
     /// `cond` was evaluated and the `taken` edge followed.
     Branch {
         /// The branch condition.
-        cond: Expr,
+        cond: Arc<Expr>,
         /// `true` for the then-edge.
         taken: bool,
     },
     /// A switch dispatched on `scrutinee`.
     Case {
         /// The switched expression.
-        scrutinee: Expr,
+        scrutinee: Arc<Expr>,
         /// `Some(v)` when exactly one labeled arm reconstructs the rest of
         /// the witness (implies `scrutinee == v`). `None` either for the
         /// default/fallthrough edge (see `excluded`) or when *several*
@@ -56,11 +59,11 @@ pub enum PathOp {
         /// `case 1: case 2: body;` chains the arms to the same block, so
         /// the step chain cannot say which value dispatched and no arm
         /// equality may be asserted.
-        arm: Option<Expr>,
+        arm: Option<Arc<Expr>>,
         /// For the default edge: the labeled values that did *not* match
         /// (each implies `scrutinee != v`). Empty for labeled arms,
         /// ambiguous or not.
-        excluded: Vec<Expr>,
+        excluded: Vec<Arc<Expr>>,
     },
     /// The function returned.
     Return,
@@ -205,7 +208,7 @@ impl Recon<'_> {
                     // equality may be asserted — committing to the first
                     // match could refute a path that actually dispatched on
                     // a later label.
-                    let mut matched: Vec<(Expr, Vec<PathOp>)> = Vec::new();
+                    let mut matched: Vec<(Arc<Expr>, Vec<PathOp>)> = Vec::new();
                     for (value, target) in targets {
                         let Some(value) = value else { continue };
                         let mut arm_ops = Vec::new();
@@ -310,7 +313,7 @@ pub(crate) fn trace(cfg: &Cfg, dirs: &[isize]) -> Vec<PathStep> {
                         .map(|(_, t)| *t)
                         .unwrap_or(*fallthrough);
                 } else {
-                    let labeled: Vec<&(Option<Expr>, BlockId)> =
+                    let labeled: Vec<&(Option<Arc<Expr>>, BlockId)> =
                         targets.iter().filter(|(v, _)| v.is_some()).collect();
                     out.push(PathStep::new(scrutinee.span, StepKind::Case.note()));
                     block = labeled[d as usize].1;

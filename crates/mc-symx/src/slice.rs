@@ -347,7 +347,7 @@ mod tests {
 
     fn branch(src: &str, taken: bool) -> PathOp {
         PathOp::Branch {
-            cond: parse_expr(src).expect("cond"),
+            cond: std::sync::Arc::new(parse_expr(src).expect("cond")),
             taken,
         }
     }

@@ -92,7 +92,7 @@ fn to_path_ops(ops: &[OpDesc]) -> Vec<PathOp> {
                 };
                 let src = format!("g{x} {} {rhs}", CMPS[*cmp]);
                 PathOp::Branch {
-                    cond: mc_ast::parse_expr(&src).expect("cond"),
+                    cond: std::sync::Arc::new(mc_ast::parse_expr(&src).expect("cond")),
                     taken: *taken,
                 }
             }

@@ -219,6 +219,47 @@ fingerprints are pinned by `tests/verdict_pin.rs`, and
 `tests/confirm_oracle.rs` checks every verdict against the old
 whole-program replay.
 
+## Fleet front end — shared AST nodes
+
+What the front end costs on the scale-10 fleet (334 files, 20.8 MB of
+C): `cargo run --release -p mc-bench --bin frontend -- --reps 5`, one
+thread, median of 5 passes on a 2-core shared host. *Before* is the
+previous design, where the lexer grew every identifier one character at
+a time and built three strings per punctuation token, the parser cloned
+every token, and each CFG, symbolic path and simulator program
+deep-copied the statements and expressions it kept. *After* shares
+those nodes behind `Arc` (DESIGN.md §17). Parse includes lexing; RSS is
+the whole process, sources included.
+
+| phase | before | after |
+|---|---|---|
+| lex | 869 ms | 338 ms |
+| parse | 1485 ms | 781 ms |
+| unit fingerprint | 264 ms | 254 ms |
+| CFG build | 359 ms | 167 ms |
+| CFG teardown | 147 ms | 39 ms |
+| AST teardown | 602 ms | 387 ms |
+| RSS, every unit parsed | 463 MB | 426 MB |
+| RSS, every CFG built | 899 MB | 491 MB |
+| peak RSS | 929 MB | 491 MB |
+
+Building the CFGs used to double resident memory; now it adds 65 MB.
+End to end (`perfbench --workload fleet_batch`, 10 alternating
+parent/change pairs, seeds 1–10): `peak_rss_mb` median 937.7 → 529.8
+(every pair; the parent's interquartile range is 0.3 MB), `cold_s`
+4.58 → 3.69 s and `edit_p50_ms` 844 → 609 ms (every pair), with
+`warm_s`, `revert_p50_ms` and `false_positives` unchanged within the
+benchmark's bounds. The seed workloads move the same way: `seed_batch`
+`peak_rss_mb` 104 → 55 and `cold_s` 0.42 → 0.25 s, `seed_edit`
+`edit_p50_ms` 77 → 59 ms (5 pairs each). One traced run per side
+(`--trace 1`, seed 11) places the saving in the layers that stopped
+copying: `mc-ast.parse_ms` 1372 → 854, `mc-cfg.build_ms` 289 → 94 and
+`mc-symx.refute_ms` 1049 → 518 (witness paths share the CFG's nodes),
+with every count (`mc-ast.functions`, `mc-cfg.blocks`,
+`mc-symx.witnesses`, …) identical. The trees are the same: the
+fingerprint of every seed file and function is pinned by
+`tests/fingerprint_pin.rs`, recorded before the change.
+
 ## Figures
 
 * **Figure 1** (FLASH node block diagram) is architectural, not a data
