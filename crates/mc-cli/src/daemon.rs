@@ -13,7 +13,10 @@
 //! ```
 //!
 //! and each response is one line, `{"id": 1, "result": ...}` on success
-//! or `{"id": 1, "error": "message"}` on failure. Methods:
+//! or `{"id": 1, "error": "message"}` on failure. A request line longer
+//! than 4 MiB, not UTF-8, or nested deeper than [`mc_json::MAX_DEPTH`]
+//! gets an error with a null id, and the connection stays usable.
+//! Methods:
 //!
 //! * `check` — check the given files (absolute paths; defaults to the
 //!   files the daemon was started with). An optional `"jobs"` hint sets
@@ -136,12 +139,21 @@ fn serve_client(conn: UnixStream, state: &Arc<State>) {
         return;
     };
     let writer = Arc::new(Mutex::new(conn));
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (id, outcome, shutdown) = dispatch(&line, state, &writer);
+    let mut reader = BufReader::new(read_half);
+    loop {
+        let (id, outcome, shutdown) = match read_request(&mut reader, MAX_REQUEST_BYTES) {
+            Ok(Request::Line(line)) if line.trim().is_empty() => continue,
+            Ok(Request::Line(line)) => dispatch(&line, state, &writer),
+            Ok(Request::TooLong) => (
+                Json::Null,
+                Err(format!(
+                    "bad request: longer than {MAX_REQUEST_BYTES} bytes"
+                )),
+                false,
+            ),
+            Ok(Request::NotUtf8) => (Json::Null, Err("bad request: not UTF-8".into()), false),
+            Ok(Request::Closed) | Err(_) => break,
+        };
         let response = match outcome {
             Ok(result) => Json::Object(vec![("id".into(), id), ("result".into(), result)]),
             Err(msg) => Json::Object(vec![("id".into(), id), ("error".into(), Json::Str(msg))]),
@@ -158,6 +170,67 @@ fn serve_client(conn: UnixStream, state: &Arc<State>) {
             std::process::exit(0);
         }
     }
+}
+
+/// The longest request line the daemon reads, in bytes. A `check`
+/// request lists its files, so tens of thousands of paths still fit.
+const MAX_REQUEST_BYTES: usize = 4 << 20;
+
+/// One request line, as read off a connection.
+#[derive(Debug, PartialEq, Eq)]
+enum Request {
+    /// The line, without its newline.
+    Line(String),
+    /// The line exceeded the cap; it was read through and dropped.
+    TooLong,
+    /// The line was not valid UTF-8.
+    NotUtf8,
+    /// The client closed the connection.
+    Closed,
+}
+
+/// Reads one newline-terminated request of at most `cap` bytes (the
+/// newline excluded; a `\r` before it is JSON whitespace). A longer line is consumed through its newline
+/// without being kept, so the connection stays in step for the next
+/// request.
+fn read_request(reader: &mut impl BufRead, cap: usize) -> std::io::Result<Request> {
+    let mut line: Vec<u8> = Vec::new();
+    let mut too_long = false;
+    let mut seen = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            if !seen {
+                return Ok(Request::Closed);
+            }
+            break;
+        }
+        seen = true;
+        let (take, end) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(k) => (k + 1, true),
+            None => (chunk.len(), false),
+        };
+        // The newline itself does not count against the cap.
+        let body = take - usize::from(end);
+        if !too_long && line.len() + body <= cap {
+            line.extend_from_slice(&chunk[..body]);
+        } else if !too_long {
+            too_long = true;
+            line = Vec::new();
+        }
+        reader.consume(take);
+        if end {
+            break;
+        }
+    }
+    if too_long {
+        return Ok(Request::TooLong);
+    }
+    Ok(String::from_utf8(line).map_or(Request::NotUtf8, Request::Line))
 }
 
 /// Parses and executes one request line. Returns the echoed id, the
@@ -621,5 +694,45 @@ fn cli_run<I: IntoIterator<Item = String>>(args: I) -> Result<u8, CliError> {
             }
         },
         _ => unreachable!("command is validated above"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read_all(input: &[u8], cap: usize) -> Vec<Request> {
+        // A tiny buffer makes lines straddle refills.
+        let mut reader = BufReader::with_capacity(3, input);
+        let mut out = Vec::new();
+        loop {
+            let req = read_request(&mut reader, cap).unwrap();
+            if req == Request::Closed {
+                return out;
+            }
+            out.push(req);
+        }
+    }
+
+    #[test]
+    fn requests_split_on_newlines_and_keep_the_stream_in_step_past_the_cap() {
+        let line = |s: &str| Request::Line(s.to_string());
+        assert_eq!(
+            read_all(b"ab\r\n\n12345678\n123456789\n1234\nlast", 8),
+            [
+                line("ab\r"),
+                line(""),
+                line("12345678"),
+                Request::TooLong,
+                line("1234"),
+                line("last"),
+            ]
+        );
+        assert_eq!(
+            read_all(b"\xff\xfe\nok\n", 8),
+            [Request::NotUtf8, line("ok")]
+        );
+        assert_eq!(read_all(b"", 8), []);
+        assert_eq!(read_all(b"123456789", 8), [Request::TooLong]);
     }
 }

@@ -560,10 +560,21 @@ fn one_shot_engine(opts: &Options) -> Result<Option<CheckEngine>, CliError> {
     cached.then(|| engine_for(opts)).transpose()
 }
 
+/// Drops `garbage` on a detached thread. Freeing a whole run's parsed
+/// units takes a sizeable share of a cold one-shot run; off the main
+/// thread it overlaps the rest of the run, and the process exit reclaims
+/// whatever is still held. `T` must not have a side-effecting `Drop`,
+/// since the drop may never finish. When no thread can be spawned, the
+/// failed spawn drops the closure, and with it `garbage`, right here.
+fn free_in_background<T: Send + 'static>(garbage: T) {
+    let _ = std::thread::Builder::new().spawn(move || drop(garbage));
+}
+
 /// Checks `sources` through `engine`, or through the batch driver when
 /// there is none, folds in the metal load-time diagnostics as ordinary
 /// warning reports, and orders everything by confidence. Refuted and
-/// suppressed reports are kept.
+/// suppressed reports are kept. The batch path frees its parsed units in
+/// the background.
 fn check(
     driver: &Driver,
     engine: Option<&mut CheckEngine>,
@@ -571,9 +582,11 @@ fn check(
 ) -> Result<(Vec<Report>, RunStats), CliError> {
     let (mut reports, stats) = match engine {
         Some(engine) => engine.check_sources(driver, sources),
-        None => driver
-            .check_sources(sources)
-            .map(|r| (r, RunStats::default())),
+        None => driver.parse_units(sources).map(|units| {
+            let reports = driver.check_units(&units);
+            free_in_background(units);
+            (reports, RunStats::default())
+        }),
     }
     .map_err(|e| CliError(e.to_string()))?;
     reports.extend(driver.metal_load_diagnostics());
@@ -822,6 +835,10 @@ pub fn run_full(
         sources,
         ..
     } = shown_reports(&driver, engine.as_mut(), sources)?;
+    // Every record is on disk by now; the engine only holds memory.
+    if let Some(engine) = engine {
+        free_in_background(engine);
+    }
     let mut exit = u8::from(!reports.is_empty());
     if let Some(path) = &opts.baseline {
         match apply_baseline(path, &mut reports)? {

@@ -429,19 +429,9 @@ pub fn partition_suppressed(
     // file -> list of (comment line, suppressed checker names)
     let mut map: HashMap<&str, Vec<(u32, Vec<&str>)>> = HashMap::new();
     for (text, name) in sources {
-        for (idx, line) in text.lines().enumerate() {
-            let Some(at) = line.find("// mc-suppress:") else {
-                continue;
-            };
-            let names: Vec<&str> = line[at + "// mc-suppress:".len()..]
-                .split([',', ' ', '\t'])
-                .filter(|s| !s.is_empty())
-                .collect();
-            if !names.is_empty() {
-                map.entry(name.as_str())
-                    .or_default()
-                    .push((idx as u32 + 1, names));
-            }
+        let found = suppressions(text);
+        if !found.is_empty() {
+            map.entry(name.as_str()).or_default().extend(found);
         }
     }
     let total = reports.len();
@@ -459,6 +449,53 @@ pub fn partition_suppressed(
         .collect();
     let suppressed = total - kept.len();
     (kept, suppressed)
+}
+
+const SUPPRESS_MARKER: &str = "// mc-suppress:";
+
+/// The suppression comments of one source text: `(line, checker names)`
+/// for every line holding [`SUPPRESS_MARKER`] with at least one name, in
+/// line order. Only the first marker on a line counts; names run to the
+/// end of the line, split on `,`, space and tab, and a `\r` before the
+/// newline is not part of them (as with [`str::lines`]).
+///
+/// One substring search covers the whole text; newlines are counted only
+/// between hits, so a file without a marker costs a single scan.
+fn suppressions(text: &str) -> Vec<(u32, Vec<&str>)> {
+    let bytes = text.as_bytes();
+    let mut found = Vec::new();
+    let mut line = 1u32;
+    // Newlines before `counted` are already in `line`.
+    let mut counted = 0usize;
+    // A hit before `line_end` sits on the line of the previous hit.
+    let mut line_end = 0usize;
+    for (at, _) in text.match_indices(SUPPRESS_MARKER) {
+        if at < line_end {
+            continue;
+        }
+        line += bytes[counted..at].iter().filter(|&&b| b == b'\n').count() as u32;
+        counted = at;
+        let start = at + SUPPRESS_MARKER.len();
+        let rest = match text[start..].find('\n') {
+            Some(k) => {
+                line_end = start + k;
+                let rest = &text[start..line_end];
+                rest.strip_suffix('\r').unwrap_or(rest)
+            }
+            None => {
+                line_end = text.len();
+                &text[start..]
+            }
+        };
+        let names: Vec<&str> = rest
+            .split([',', ' ', '\t'])
+            .filter(|s| !s.is_empty())
+            .collect();
+        if !names.is_empty() {
+            found.push((line, names));
+        }
+    }
+    found
 }
 
 #[cfg(test)]
@@ -697,5 +734,81 @@ CONTROL_SEND(); // mc-suppress: send_wait, lanes
         let reports = vec![Report::error("lanes", "b.c", "h", Span::new(2, 1), "m")];
         let (kept, suppressed) = partition_suppressed(reports, &sources);
         assert_eq!((kept.len(), suppressed), (1, 0));
+    }
+
+    /// The per-line scan `suppressions` replaced, kept as its oracle.
+    fn suppressions_by_line(text: &str) -> Vec<(u32, Vec<&str>)> {
+        let mut found = Vec::new();
+        for (idx, line) in text.lines().enumerate() {
+            let Some(at) = line.find(SUPPRESS_MARKER) else {
+                continue;
+            };
+            let names: Vec<&str> = line[at + SUPPRESS_MARKER.len()..]
+                .split([',', ' ', '\t'])
+                .filter(|s| !s.is_empty())
+                .collect();
+            if !names.is_empty() {
+                found.push((idx as u32 + 1, names));
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn suppression_scan_matches_the_per_line_oracle_on_edge_cases() {
+        let cases = [
+            "",
+            "// mc-suppress:",
+            "// mc-suppress: lanes",
+            "// mc-suppress: lanes\n",
+            "x();\n// mc-suppress: lanes",
+            "a // mc-suppress: lanes // mc-suppress: send_wait\nb\n",
+            "// mc-suppress: a,b\tc  d,,\n// mc-suppress:\t\n// mc-suppress: e\n",
+            "// mc-suppress: lanes\r\nx();\r\n// mc-suppress: a, b\r\n",
+            "// mc-suppress: lanes\r",
+            "// mc-suppress: la\rnes\n",
+            "// mc-suppress: lanes\r\r\n",
+            "\n\n\n// mc-suppress: x\n\n// mc-suppress: y",
+            "// mc-suppress:// mc-suppress: z\n",
+            "/// mc-suppress: z\n// mc-suppress:z\n",
+            "\u{e9}t\u{e9} // mc-suppress: \u{fc}ber\n",
+        ];
+        for text in cases {
+            assert_eq!(suppressions(text), suppressions_by_line(text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn suppression_scan_matches_the_per_line_oracle_on_the_seed_corpus() {
+        let markers = [
+            " // mc-suppress: buffer_mgmt",
+            "// mc-suppress: lanes, send_wait\r",
+            "  // mc-suppress:\t",
+            " // mc-suppress: a // mc-suppress: b",
+            "// mc-suppress:",
+        ];
+        let mut files = 0;
+        for proto in mc_corpus::generate_all(mc_corpus::DEFAULT_SEED) {
+            for (text, name) in proto.sources() {
+                assert_eq!(suppressions(&text), suppressions_by_line(&text), "{name}");
+                // The same file with markers spliced onto every seventh
+                // line, in every form the scan must agree on.
+                let mut marked = String::with_capacity(text.len() * 2);
+                for (k, line) in text.split('\n').enumerate() {
+                    if k > 0 {
+                        marked.push('\n');
+                    }
+                    marked.push_str(line);
+                    if k % 7 == 3 {
+                        marked.push_str(markers[(k / 7) % markers.len()]);
+                    }
+                }
+                let got = suppressions(&marked);
+                assert!(!got.is_empty(), "{name}: no marker found");
+                assert_eq!(got, suppressions_by_line(&marked), "{name} (marked)");
+                files += 1;
+            }
+        }
+        assert!(files > 20, "seed corpus has {files} files");
     }
 }

@@ -325,6 +325,70 @@ fn check_jobs_hint_is_applied_and_echoed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The daemon outlives hostile requests: a request nested 200k levels
+/// deep and one longer than the request cap each get a JSON-RPC error on
+/// the same connection, and the next `check` there still succeeds.
+#[test]
+fn deeply_nested_and_oversized_requests_get_errors_and_the_daemon_keeps_serving() {
+    let (dir, socket) = scratch("hostile");
+    let src = write_buggy_source(&dir);
+
+    let mut daemon = Command::new(MCHECKD)
+        .args(["serve", "--socket"])
+        .arg(&socket)
+        .arg("--builtin")
+        .arg(&src)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let conn = connect_with_retry(&socket);
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut conn = conn;
+    let mut send = |request: &str| -> Json {
+        conn.write_all(request.as_bytes()).unwrap();
+        conn.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).unwrap()
+    };
+    let error_of = |resp: &Json| resp.get("error").and_then(Json::as_str).map(str::to_string);
+
+    let deep = "[".repeat(200_000);
+    let resp = send(&deep);
+    assert!(
+        error_of(&resp).is_some_and(|m| m.contains("nested deeper than")),
+        "{resp:?}"
+    );
+
+    let long = format!(
+        r#"{{"id": 7, "method": "check", "params": {{"pad": "{}"}}}}"#,
+        "x".repeat(5 << 20)
+    );
+    let resp = send(&long);
+    assert!(
+        error_of(&resp).is_some_and(|m| m.contains("longer than")),
+        "{resp:?}"
+    );
+
+    let ok = send(&format!(
+        r#"{{"id": 8, "method": "check", "params": {{"files": ["{}"]}}}}"#,
+        src.display()
+    ));
+    assert_eq!(ok.get("id").and_then(Json::as_i64), Some(8));
+    assert_eq!(
+        ok.get("result")
+            .and_then(|r| r.get("exit"))
+            .and_then(Json::as_i64),
+        Some(1),
+        "the check after the hostile requests runs: {ok:?}"
+    );
+
+    shutdown(&socket);
+    let _ = daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `mcheck --watch --daemon-socket` is a thin client: it spawns the
 /// daemon (via `MCHECKD_BIN`), sends a check request, and prints the
 /// daemon's envelope.

@@ -26,6 +26,7 @@ use mc_cfg::{CycleWarning, FnSummary};
 use mc_json::{field, object, FromJson, Json, JsonError, ToJson};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use crate::driver::CACHE_FORMAT_VERSION;
 
@@ -594,8 +595,8 @@ const CLAIM_TTL: std::time::Duration = std::time::Duration::from_secs(600);
 /// comparison from the filesystem keeps "written after this handle
 /// opened" exact.
 fn fs_now(dir: &Path) -> io::Result<std::time::SystemTime> {
-    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let stamp = dir.join(format!(".open-{}-{seq}.stamp", std::process::id()));
     std::fs::write(&stamp, b"")?;
     let mtime = std::fs::metadata(&stamp).and_then(|m| m.modified());
@@ -783,9 +784,13 @@ impl DiskCache {
 
     /// Writes `text` to `path` via a temp file + rename so concurrent
     /// readers never observe a half-written record. Best-effort: failures
-    /// only cost future hits.
+    /// only cost future hits. The temp name is unique per store — process
+    /// id plus a process-wide sequence number — so threads writing the
+    /// same record concurrently never share a temp file.
     fn store(&self, path: PathBuf, text: &str) {
-        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id()));
         if std::fs::write(&tmp, text).is_ok() {
             if std::fs::rename(&tmp, &path).is_err() {
                 let _ = std::fs::remove_file(&tmp);
@@ -979,6 +984,95 @@ mod tests {
         let text = mc_json::to_string(&rec);
         let back: SummaryRecord = mc_json::from_str(&text).unwrap();
         assert_eq!(rec, back);
+    }
+
+    fn dir_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_record_leave_one_valid_file_and_no_temps() {
+        let dir = std::env::temp_dir().join(format!("mc-cache-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = DiskCache::open(&dir).unwrap();
+        let rec = sample_unit();
+        cache.store_unit(&rec);
+        // Once a record exists, a reader racing the writers must always
+        // see it whole: every rename installs a completely written file.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    assert_eq!(cache.load_unit_by_source(rec.src_key).as_ref(), Some(&rec));
+                }
+            });
+            let writers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..50 {
+                            cache.store_unit(&rec);
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(cache.load_unit_by_source(rec.src_key), Some(rec.clone()));
+        assert_eq!(cache.load_unit_by_ast(rec.ast_key), Some(rec.clone()));
+        assert_eq!(
+            dir_names(&dir),
+            [
+                format!("uast-{}.json", key_hex(rec.ast_key)),
+                format!("usrc-{}.json", key_hex(rec.src_key)),
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cap_holds_after_concurrent_stores() {
+        // Eight threads of one run store distinct records under a cap of
+        // about three files. The last eviction pass to list the directory
+        // sees every write, so the bound holds once all stores return.
+        let dir = std::env::temp_dir().join(format!("mc-cache-capmt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let base = sample_unit();
+        let cap = mc_json::to_string(&base).len() as u64 * 3;
+        let mut cache = DiskCache::open(&dir).unwrap();
+        cache.set_cap_bytes(Some(cap));
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (cache, base) = (&cache, &base);
+                s.spawn(move || {
+                    for i in 0..10u64 {
+                        let mut rec = base.clone();
+                        rec.src_key = base.src_key + t * 100 + i;
+                        rec.ast_key = base.ast_key + t * 100 + i;
+                        cache.store_unit(&rec);
+                    }
+                });
+            }
+        });
+        let names = dir_names(&dir);
+        assert!(names.iter().all(|n| !n.contains(".tmp")), "{names:?}");
+        let total: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        assert!(total <= cap, "{total} > {cap}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

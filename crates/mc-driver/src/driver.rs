@@ -23,6 +23,7 @@ use mc_metal::{
     MetalProgram, MetalReport,
 };
 use std::any::Any;
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -95,6 +96,9 @@ pub struct CheckedUnit {
     /// Lazily-computed constant declarations (see
     /// [`CheckedUnit::constants`]).
     constants: OnceLock<Vec<(String, i64)>>,
+    /// Lazily-computed call-graph signature (see
+    /// [`CheckedUnit::call_info`]).
+    call_info: OnceLock<CallInfo>,
 }
 
 impl CheckedUnit {
@@ -108,6 +112,7 @@ impl CheckedUnit {
             fn_calls: OnceLock::new(),
             env_fp: OnceLock::new(),
             constants: OnceLock::new(),
+            call_info: OnceLock::new(),
         }
     }
 
@@ -139,6 +144,12 @@ impl CheckedUnit {
     pub fn constants(&self) -> &[(String, i64)] {
         self.constants
             .get_or_init(|| mc_sim::constant_decls(&self.unit))
+    }
+
+    /// The unit's call-graph signature ([`call_info`]), computed once per
+    /// parse.
+    pub fn call_info(&self) -> &CallInfo {
+        self.call_info.get_or_init(|| call_info(&self.unit))
     }
 
     /// The unit's *environment* hash: everything outside function bodies
@@ -938,7 +949,12 @@ impl Driver {
     ) -> Result<Vec<CheckedUnit>, DriverError> {
         let parsed = self.pool_map(sources.len(), |i| {
             let (src, file) = &sources[i];
-            parse_translation_unit(src, file).map(CheckedUnit::new)
+            parse_translation_unit(src, file).map(|tu| {
+                let unit = CheckedUnit::new(tu);
+                // The component partition reads it on the calling thread.
+                unit.call_info();
+                unit
+            })
         });
         let mut units = Vec::with_capacity(sources.len());
         for result in parsed {
@@ -1158,7 +1174,7 @@ impl Driver {
         };
         let mut locals = self.run_local_passes(&refs, local_summaries);
 
-        let infos: Vec<CallInfo> = refs.iter().map(|u| call_info(&u.unit)).collect();
+        let infos: Vec<&CallInfo> = refs.iter().map(|u| u.call_info()).collect();
         let consts = self
             .refute
             .then(|| crate::confirm::ConstTable::new(refs.iter().map(|u| u.constants())));
@@ -1235,7 +1251,7 @@ pub fn call_info(unit: &TranslationUnit) -> CallInfo {
 /// touches its units, so re-running a program pass per *component* re-runs
 /// it for every SCC that could observe a changed unit. Components are
 /// returned with members in input order, ordered by their first member.
-pub fn call_components(infos: &[CallInfo]) -> Vec<Vec<usize>> {
+pub fn call_components<I: Borrow<CallInfo>>(infos: &[I]) -> Vec<Vec<usize>> {
     let n = infos.len();
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut i: usize) -> usize {
@@ -1256,7 +1272,7 @@ pub fn call_components(infos: &[CallInfo]) -> Vec<Vec<usize>> {
 
     let mut definers: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
     for (i, info) in infos.iter().enumerate() {
-        for name in &info.defines {
+        for name in &info.borrow().defines {
             match definers.entry(name.as_str()) {
                 std::collections::hash_map::Entry::Occupied(e) => union(&mut parent, *e.get(), i),
                 std::collections::hash_map::Entry::Vacant(e) => {
@@ -1266,7 +1282,7 @@ pub fn call_components(infos: &[CallInfo]) -> Vec<Vec<usize>> {
         }
     }
     for (i, info) in infos.iter().enumerate() {
-        for name in &info.calls {
+        for name in &info.borrow().calls {
             if let Some(&d) = definers.get(name.as_str()) {
                 union(&mut parent, i, d);
             }

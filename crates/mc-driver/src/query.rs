@@ -57,14 +57,13 @@ use crate::cache::{
     FnIndexRecord, ProgramRecord, SummaryRecord, UnitRecord,
 };
 use crate::confirm::ConstTable;
-use crate::driver::{
-    call_components, call_info, CallInfo, CheckedUnit, Driver, DriverError, Fact, UnitLocal,
-};
+use crate::driver::{call_components, CallInfo, CheckedUnit, Driver, DriverError, Fact, UnitLocal};
 use crate::report::Report;
 use crate::summaries::Summaries;
 use mc_ast::{parse_translation_unit, Fingerprint, Fnv1a, ParseError, TranslationUnit};
 use mc_cfg::FnSummary;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// One schedulable unit of work. The engine's phases each build a batch of
@@ -221,7 +220,20 @@ pub struct CheckEngine {
     confirms: HashMap<u64, Arc<ConfirmRecord>>,
     /// Final report vectors by program key.
     programs: HashMap<u64, Arc<ProgramRecord>>,
+    /// Program keys of the latest [`MEMO_RUNS`] runs, oldest first: the
+    /// program records the memo keeps.
+    recent_programs: VecDeque<u64>,
+    /// Unit and component record keys of the latest [`MEMO_RUNS`] runs
+    /// that got past the program tier, oldest first: the unit and
+    /// component records the memo keeps.
+    recent_records: VecDeque<(HashSet<u64>, HashSet<u64>)>,
 }
+
+/// How many recent runs' program, unit and component records the memo
+/// keeps. A long watch or daemon session would otherwise hold one full
+/// report vector per input state it ever saw; a few runs back is enough
+/// for an edit's revert to replay from memory.
+const MEMO_RUNS: usize = 8;
 
 impl CheckEngine {
     /// Creates an engine with no on-disk cache (memoization only lives for
@@ -312,12 +324,44 @@ impl CheckEngine {
         }
     }
 
-    fn store_fn_index(&mut self, rec: FnIndexRecord) {
-        let rec = Arc::new(rec);
-        if let Some(d) = &self.disk {
-            d.store_fn_index(&rec);
+    /// Marks program key `key` as used by this run and drops program
+    /// records no recent run used.
+    fn remember_program(&mut self, key: u64) {
+        self.recent_programs.retain(|&k| k != key);
+        self.recent_programs.push_back(key);
+        if self.recent_programs.len() > MEMO_RUNS {
+            self.recent_programs.pop_front();
         }
-        self.fn_index.insert(rec.key, rec);
+        let recent = &self.recent_programs;
+        self.programs.retain(|k, _| recent.contains(k));
+    }
+
+    /// Records the unit and component keys this run used and drops the
+    /// unit and component records no recent run used.
+    fn remember_records(&mut self, units: HashSet<u64>, components: HashSet<u64>) {
+        self.recent_records.push_back((units, components));
+        if self.recent_records.len() > MEMO_RUNS {
+            self.recent_records.pop_front();
+        }
+        let recent = &self.recent_records;
+        self.units
+            .retain(|k, _| recent.iter().any(|(units, _)| units.contains(k)));
+        self.components
+            .retain(|k, _| recent.iter().any(|(_, comps)| comps.contains(k)));
+    }
+
+    /// Serializes and writes `records` to the disk cache, if one is
+    /// attached, over the worker pool. Callers build records (and update
+    /// the memo) in order first; the writes themselves are independent.
+    fn write_all<R: Sync>(
+        &self,
+        driver: &Driver,
+        records: &[R],
+        store: impl Fn(&DiskCache, &R) + Sync,
+    ) {
+        if let Some(d) = &self.disk {
+            driver.pool_map(records.len(), |k| store(d, &records[k]));
+        }
     }
 
     /// The content hash of `name`'s summary in component `comp_key`'s
@@ -410,12 +454,14 @@ impl CheckEngine {
     /// The summary store of one component: memoized, then disk, then
     /// computed from the (already parsed) member units. Replaying a cached
     /// store is unobservable because [`SummaryRecord`] round-trips every
-    /// field of every summary.
+    /// field of every summary. A computed store's record is pushed onto
+    /// `written` for the caller to write.
     fn component_summaries(
         &mut self,
         driver: &Driver,
         key: u64,
         members: &[&CheckedUnit],
+        written: &mut Vec<SummaryRecord>,
     ) -> Arc<Summaries> {
         if let Some(s) = self.summaries.get(&key) {
             return s.clone();
@@ -443,8 +489,8 @@ impl CheckEngine {
                 } else {
                     Summaries::compute(driver, members, driver.interproc_enabled())
                 };
-                if let Some(d) = &self.disk {
-                    d.store_summaries(&SummaryRecord {
+                if self.disk.is_some() {
+                    written.push(SummaryRecord {
                         key,
                         summaries: s.iter().cloned().collect(),
                     });
@@ -478,10 +524,7 @@ impl CheckEngine {
             ..RunStats::default()
         };
 
-        let src_fps: Vec<u64> = sources
-            .iter()
-            .map(|(src, _)| Fingerprint::of_source(src))
-            .collect();
+        let src_fps: Vec<u64> = driver.pool_map(n, |i| Fingerprint::of_source(&sources[i].0));
         let content_keys: Vec<u64> = sources
             .iter()
             .zip(&src_fps)
@@ -515,6 +558,7 @@ impl CheckEngine {
             if let Some(rec) = self.lookup_program(prog_key) {
                 stats.program_hit = true;
                 stats.source_hits = n;
+                self.remember_program(prog_key);
                 return Ok((rec.reports.clone(), stats));
             }
         }
@@ -567,13 +611,13 @@ impl CheckEngine {
                 }
             })
             .collect();
-        let infos: Vec<CallInfo> = (0..n)
+        let infos: Vec<Cow<CallInfo>> = (0..n)
             .map(|i| match &recs[i] {
-                Some(r) => CallInfo {
+                Some(r) => Cow::Owned(CallInfo {
                     defines: r.defines.clone(),
                     calls: r.calls.clone(),
-                },
-                None => call_info(&parsed[i].as_ref().expect("parsed").unit.unit),
+                }),
+                None => Cow::Borrowed(parsed[i].as_ref().expect("parsed").unit.call_info()),
             })
             .collect();
         let comps = call_components(&infos);
@@ -676,16 +720,18 @@ impl CheckEngine {
                 &mut parsed,
                 &mut stats,
             )?;
+            let mut written: Vec<SummaryRecord> = Vec::new();
             for &c in &touched {
                 let members: Vec<&CheckedUnit> = comps[c]
                     .iter()
                     .map(|&i| parsed[i].as_ref().expect("parsed above").unit.as_ref())
                     .collect();
-                let store = self.component_summaries(driver, comp_keys[c], &members);
+                let store = self.component_summaries(driver, comp_keys[c], &members, &mut written);
                 for &i in &comps[c] {
                     unit_summaries[i] = Some(store.clone());
                 }
             }
+            self.write_all(driver, &written, |d, r| d.store_summaries(r));
         }
 
         // Tier 3: local pass for genuinely changed units — red/green per
@@ -697,6 +743,18 @@ impl CheckEngine {
         stats.units_checked = dirty.len();
         let mut dirty_facts: HashMap<usize, Vec<Vec<Fact>>> = HashMap::new();
         if !dirty.is_empty() {
+            // The per-unit artifacts the sequential steps below read, forced
+            // on the pool. Only dirty units pay: clean component members
+            // parsed for program passes never need fingerprints.
+            driver.pool_map(dirty.len(), |k| {
+                let cu = &parsed[dirty[k]].as_ref().expect("parsed above").unit;
+                cu.constants();
+                if function_mode {
+                    cu.fn_fingerprints();
+                    cu.env_fp();
+                    cu.fn_call_names();
+                }
+            });
             let locals = if function_mode {
                 self.check_dirty_fn(
                     driver,
@@ -716,25 +774,25 @@ impl CheckEngine {
                     .sum::<usize>();
                 self.check_dirty(driver, &parsed, &dirty, &unit_summaries)
             };
+            let mut written: Vec<Arc<UnitRecord>> = Vec::with_capacity(dirty.len());
             for (&i, local) in dirty.iter().zip(locals) {
-                let pu = parsed[i].as_ref().expect("parsed above");
-                let info = call_info(&pu.unit.unit);
+                let cu = &parsed[i].as_ref().expect("parsed above").unit;
+                let info = cu.call_info();
                 let rec = Arc::new(UnitRecord {
                     src_key: src_keys[i],
                     ast_key: ast_keys[i],
                     summary_key: if interproc { comp_keys[comp_of[i]] } else { 0 },
-                    defines: info.defines,
-                    calls: info.calls,
-                    constants: pu.unit.constants().to_vec(),
+                    defines: info.defines.clone(),
+                    calls: info.calls.clone(),
+                    constants: cu.constants().to_vec(),
                     reports: local.reports,
                 });
                 self.insert_unit(&rec);
-                if let Some(d) = &self.disk {
-                    d.store_unit(&rec);
-                }
+                written.push(rec.clone());
                 recs[i] = Some(rec);
                 dirty_facts.insert(i, local.facts);
             }
+            self.write_all(driver, &written, |d, r| d.store_unit(r));
         }
 
         // Reports are gathered per component: confirmation replays them
@@ -789,12 +847,14 @@ impl CheckEngine {
                 // mirrors what the batch local pass would have seen.
                 let mut comp_stores: Vec<Option<Arc<Summaries>>> = vec![None; rerun.len()];
                 if driver.needs_summaries() {
+                    let mut written: Vec<SummaryRecord> = Vec::new();
                     for (j, &c) in rerun.iter().enumerate() {
                         let members: Vec<&CheckedUnit> = comps[c]
                             .iter()
                             .map(|&i| parsed[i].as_ref().expect("parsed above").unit.as_ref())
                             .collect();
-                        let store = self.component_summaries(driver, comp_keys[c], &members);
+                        let store =
+                            self.component_summaries(driver, comp_keys[c], &members, &mut written);
                         if interproc {
                             for &i in &comps[c] {
                                 unit_summaries[i] = Some(store.clone());
@@ -802,6 +862,7 @@ impl CheckEngine {
                         }
                         comp_stores[j] = Some(store);
                     }
+                    self.write_all(driver, &written, |d, r| d.store_summaries(r));
                 }
 
                 let regen: Vec<usize> = rerun
@@ -892,17 +953,17 @@ impl CheckEngine {
                     let facts = work[j].lock().unwrap().take().expect("taken once");
                     driver.run_program_passes(&members, facts, comp_stores[j].as_deref())
                 });
+                let mut written: Vec<Arc<ComponentRecord>> = Vec::with_capacity(rerun.len());
                 for (&c, out) in rerun.iter().zip(outs) {
                     let rec = Arc::new(ComponentRecord {
                         key: comp_keys[c],
                         reports: out,
                     });
                     self.components.insert(rec.key, rec.clone());
-                    if let Some(d) = &self.disk {
-                        d.store_component(&rec);
-                    }
+                    written.push(rec.clone());
                     comp_reports[c] = Some(rec);
                 }
+                self.write_all(driver, &written, |d, r| d.store_component(r));
             }
 
             for (c, rec) in comp_reports.into_iter().enumerate() {
@@ -968,12 +1029,20 @@ impl CheckEngine {
             }
         }
 
-        // Bound memo growth across watch iterations: keep only the parse
-        // and summary artifacts of the program we just saw.
-        let live: HashSet<u64> = content_keys.iter().copied().collect();
-        self.checked.retain(|k, _| live.contains(k));
+        // Bound memo growth across watch iterations and daemon requests:
+        // keep only the parse and summary artifacts of the program we just
+        // saw, and the records the last few runs used.
+        self.remember_program(prog_key);
+        let units: HashSet<u64> = recs
+            .iter()
+            .flatten()
+            .flat_map(|r| [r.src_key, r.ast_key])
+            .collect();
         let live_comps: HashSet<u64> = comp_keys.iter().copied().collect();
         self.summaries.retain(|k, _| live_comps.contains(k));
+        self.remember_records(units, live_comps);
+        let live: HashSet<u64> = content_keys.iter().copied().collect();
+        self.checked.retain(|k, _| live.contains(k));
         let live_idx: HashSet<u64> = sources
             .iter()
             .map(|(_, file)| fn_index_key(suite, file))
@@ -1030,6 +1099,7 @@ impl CheckEngine {
             .filter(|&i| parsed[i].is_none())
             .collect();
         self.parse_into(driver, sources, content_keys, &missing, parsed, stats)?;
+        let mut written: Vec<Arc<ConfirmRecord>> = Vec::with_capacity(rerun.len());
         for (c, known) in rerun {
             let members: Vec<&CheckedUnit> = comps[c]
                 .iter()
@@ -1043,11 +1113,10 @@ impl CheckEngine {
                 key: keys[c],
                 outcomes: done.outcomes,
             });
-            if let Some(d) = &self.disk {
-                d.store_confirm(&rec);
-            }
-            self.confirms.insert(rec.key, rec);
+            self.confirms.insert(rec.key, rec.clone());
+            written.push(rec);
         }
+        self.write_all(driver, &written, |d, r| d.store_confirm(r));
         Ok(())
     }
 
@@ -1306,6 +1375,7 @@ impl CheckEngine {
         }
 
         let mut locals: Vec<UnitLocal> = Vec::with_capacity(dirty.len());
+        let mut written: Vec<Arc<FnIndexRecord>> = Vec::with_capacity(dirty.len());
         for (plan, &i) in plans.into_iter().zip(dirty) {
             let cu = &parsed[i].as_ref().expect("parsed above").unit;
             let fps = cu.fn_fingerprints();
@@ -1376,14 +1446,17 @@ impl CheckEngine {
                     }
                 }
             }
-            self.store_fn_index(FnIndexRecord {
+            let rec = Arc::new(FnIndexRecord {
                 key: plan.idx_key,
                 src_key: src_keys[i],
                 env_fp: plan.env,
                 functions: entries,
             });
+            self.fn_index.insert(rec.key, rec.clone());
+            written.push(rec);
             locals.push(local);
         }
+        self.write_all(driver, &written, |d, r| d.store_fn_index(r));
         locals
     }
 }
@@ -1461,7 +1534,10 @@ fn run_queries(
                 .unwrap()
                 .take()
                 .expect("parse ran before cfg");
-            QueryOutput::Cfg(Arc::new(CheckedUnit::new(tu)))
+            let unit = CheckedUnit::new(tu);
+            // The component partition reads it on the calling thread.
+            unit.call_info();
+            QueryOutput::Cfg(Arc::new(unit))
         }
         Query::Check { unit, function } => {
             let cu = parsed[unit].as_ref().expect("cfg ran before check");
@@ -1563,6 +1639,43 @@ mod tests {
         assert_eq!(stats.units_checked, 1);
         assert_eq!(stats.source_hits, srcs.len() - 1);
         assert_eq!(reports, d.check_sources(&srcs).unwrap());
+    }
+
+    #[test]
+    fn memo_keeps_the_records_of_recent_runs_only() {
+        let d = driver();
+        let base = sources();
+        let mut engine = CheckEngine::in_memory();
+        engine.check_sources(&d, &base).unwrap();
+        let edited = |k: usize| {
+            let mut srcs = base.clone();
+            srcs[k % base.len()].0.push_str(&format!(
+                "\nvoid edit{k}(void) {{ MISCBUS_READ_DB(p, q); }}\n"
+            ));
+            srcs
+        };
+        // An edit and its revert, many times over: the revert replays the
+        // base program from memory every time, and the memo stays bounded.
+        for k in 0..3 * MEMO_RUNS {
+            engine.check_sources(&d, &edited(k)).unwrap();
+            let (reports, stats) = engine.check_sources(&d, &base).unwrap();
+            assert!(stats.program_hit, "revert {k}: {stats:?}");
+            assert_eq!(reports, d.check_sources(&base).unwrap());
+        }
+        // A run of distinct edits keeps at most `MEMO_RUNS` programs, and
+        // the unit records of those runs only.
+        for k in 0..3 * MEMO_RUNS {
+            engine.check_sources(&d, &edited(100 + k)).unwrap();
+        }
+        assert_eq!(engine.programs.len(), MEMO_RUNS);
+        // Each edit adds one unit record under two keys; the clean units
+        // are shared by every run.
+        assert!(engine.units.len() <= 2 * (base.len() + MEMO_RUNS));
+        // The edit eight runs back is still answered from memory.
+        let (_, stats) = engine
+            .check_sources(&d, &edited(100 + 3 * MEMO_RUNS - MEMO_RUNS))
+            .unwrap();
+        assert!(stats.program_hit, "{stats:?}");
     }
 
     #[test]

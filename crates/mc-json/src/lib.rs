@@ -111,11 +111,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input.
+    /// Returns [`JsonError`] on malformed input, including arrays and
+    /// objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -126,6 +128,12 @@ impl Json {
         Ok(v)
     }
 }
+
+/// How deeply arrays and objects may nest in a parsed document. The
+/// parser recurses once per level, so deeper input is an error rather
+/// than a stack overflow; every document the workspace writes stays far
+/// below it.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parse or conversion error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,6 +303,8 @@ fn write_pretty(v: &Json, depth: usize, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -348,8 +358,8 @@ impl Parser<'_> {
                 Ok(Json::Bool(false))
             }
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(JsonError(format!(
                 "unexpected `{}` at byte {}",
@@ -357,6 +367,23 @@ impl Parser<'_> {
             ))),
             None => Err(JsonError("unexpected end of input".into())),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -789,6 +816,22 @@ mod tests {
         let pretty = v.to_pretty();
         assert!(pretty.contains("\n  \"outer\": {"));
         assert_eq!(Json::parse(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_an_overflow() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest("{\"a\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        for deep in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest("{\"a\":", "}", MAX_DEPTH + 1).replace(":}", ":1}"),
+            "[".repeat(200_000),
+            "[{\"a\":".repeat(100_000),
+        ] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.0.contains("nested deeper than 256 levels"), "{err}");
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 # once per protocol, at two worker counts sharing one cache directory
 # (worker count is deliberately not part of the cache key).
 #
+# It also checks that the cache itself is deterministic: cold runs at
+# --jobs 1 and --jobs 4 into two fresh cache directories must write the
+# same record files byte for byte (diff -r), on every seed protocol and
+# on one fleet family (sci_f1 of a scale-2 fleet).
+#
 # Usage: scripts/cache_equivalence.sh [path-to-mcheck]
 # (defaults to target/release/mcheck; builds it if missing)
 set -euo pipefail
@@ -34,6 +39,22 @@ run_mcheck() {
 }
 
 status=0
+
+# Cold runs at --jobs 1 and --jobs 4, each into a fresh cache directory:
+# same output, same record files.
+cold_records_match() {
+    local pdir=$1 name=$2
+    run_mcheck "$work/$name-j1.json" 1 "$pdir" "$work/records-$name-j1"
+    run_mcheck "$work/$name-j4.json" 4 "$pdir" "$work/records-$name-j4"
+    if diff -u "$work/$name-j1.json" "$work/$name-j4.json" &&
+        diff -r "$work/records-$name-j1" "$work/records-$name-j4"; then
+        echo "cache-determinism ok: $name"
+    else
+        echo "FAIL: $name cold cache differs between --jobs 1 and --jobs 4" >&2
+        status=1
+    fi
+}
+
 for pdir in "$work"/corpus/*/; do
     name=$(basename "$pdir")
     cache="$work/cache-$name"
@@ -45,5 +66,9 @@ for pdir in "$work"/corpus/*/; do
         echo "FAIL: $name warm output differs from cold" >&2
         status=1
     fi
+    cold_records_match "$pdir" "$name"
 done
+
+"$MCHECK" --emit-corpus "$work/fleet" --scale 2 >/dev/null
+cold_records_match "$work/fleet/sci_f1" fleet-sci_f1
 exit "$status"
