@@ -40,25 +40,18 @@
 //! generation time, function count, and a cold check, so the scaling
 //! trajectory toward the ROADMAP's fleet-sized workloads is tracked.
 //!
-//! A seventh section races the two pool schedulers — the legacy fixed
-//! shared-counter partitioning vs the Chase-Lev work-stealing default —
-//! over the scaled corpus at four workers, recording wall time plus the
-//! stealing run's counters (steals, probe attempts, idle time, tasks per
-//! worker) so a scheduling regression is diagnosable from the JSON alone.
-//!
 //! Worker counts above the machine's available parallelism are skipped
 //! (and recorded in the output): timing an oversubscribed pool measures
 //! scheduler churn, not the driver. Set `MC_BENCH_FORCE_WORKERS=1` to
 //! keep them anyway — on a 1-core CI runner that is the only way to
-//! exercise the multicore rows at all (expect parity, not speedups, and
-//! read the scheduler counters instead of the wall clock).
+//! exercise the multicore rows at all (expect parity, not speedups).
 
 use mc_cfg::{run_traversal, Mode, Traversal};
 use mc_checkers::all_checkers;
 use mc_corpus::plan::PLANS;
 use mc_corpus::{generate, DEFAULT_SEED};
 use mc_driver::cache::DiskCache;
-use mc_driver::{CheckEngine, CheckedUnit, Driver, SchedMode, SchedStats, Summaries, Verdict};
+use mc_driver::{CheckEngine, CheckedUnit, Driver, Summaries, Verdict};
 use mc_json::Json;
 use mc_metal::{
     CandidatePlan, CompiledMachine, CompiledProgram, MetalMachine, MetalProgram, MetalReport,
@@ -105,69 +98,6 @@ fn check_corpus_full(
     (functions, reports)
 }
 
-/// Timed result of the scheduler A/B over the scaled corpus.
-struct SchedBench {
-    workers: usize,
-    wall_ms_fixed: f64,
-    wall_ms_stealing: f64,
-    speedup: f64,
-    /// Counters from the best stealing pass.
-    stats: SchedStats,
-}
-
-/// Races the fixed shared-counter pool against the work-stealing default
-/// over `sources`, asserting identical report counts, and keeps the
-/// stealing run's scheduler counters for the JSON output.
-fn bench_scheduler(
-    sources: &[Vec<(String, String)>],
-    specs: &[mc_checkers::flash::FlashSpec],
-    jobs: usize,
-    reps: usize,
-) -> SchedBench {
-    let mut wall = [f64::INFINITY; 2];
-    let mut reports = [0usize; 2];
-    let mut steal_stats = SchedStats::default();
-    for (slot, mode) in [SchedMode::Fixed, SchedMode::Stealing]
-        .into_iter()
-        .enumerate()
-    {
-        for _ in 0..reps {
-            let mut stats = SchedStats::default();
-            let mut r = 0usize;
-            let start = Instant::now();
-            for (srcs, spec) in sources.iter().zip(specs) {
-                let mut driver = Driver::new();
-                driver.jobs(jobs);
-                driver.prune(true);
-                driver.scheduler(mode);
-                all_checkers(&mut driver, spec).expect("suite registers");
-                let units = driver.parse_units(srcs).expect("corpus parses");
-                r += driver.check_units(&units).len();
-                stats.merge(&driver.take_sched_stats());
-            }
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            if ms < wall[slot] {
-                wall[slot] = ms;
-                if mode == SchedMode::Stealing {
-                    steal_stats = stats;
-                }
-            }
-            reports[slot] = r;
-        }
-    }
-    assert_eq!(
-        reports[0], reports[1],
-        "scheduler mode changed the report count — determinism violated"
-    );
-    SchedBench {
-        workers: jobs,
-        wall_ms_fixed: wall[0],
-        wall_ms_stealing: wall[1],
-        speedup: wall[0] / wall[1],
-        stats: steal_stats,
-    }
-}
-
 /// Timed result of the fleet-scale corpus section.
 struct ScaleBench {
     scale: usize,
@@ -179,14 +109,8 @@ struct ScaleBench {
     reports: usize,
 }
 
-/// Per protocol of a fleet: its `(source, file name)` pairs.
-type FleetSources = Vec<Vec<(String, String)>>;
-
 /// Generates the `--scale` fleet corpus and measures a cold check of it.
-fn bench_scale(
-    scale: usize,
-    jobs: usize,
-) -> (ScaleBench, FleetSources, Vec<mc_checkers::flash::FlashSpec>) {
+fn bench_scale(scale: usize, jobs: usize) -> ScaleBench {
     let start = Instant::now();
     let fleet = mc_corpus::generate_fleet(DEFAULT_SEED, scale);
     let gen_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -196,7 +120,7 @@ fn bench_scale(
     let start = Instant::now();
     let (functions, reports) = check_corpus(&sources, &specs, jobs, true);
     let check_ms = start.elapsed().as_secs_f64() * 1e3;
-    let bench = ScaleBench {
+    ScaleBench {
         scale,
         protocols: fleet.len(),
         functions,
@@ -204,8 +128,7 @@ fn bench_scale(
         gen_ms,
         check_ms,
         reports,
-    };
-    (bench, sources, specs)
+    }
 }
 
 /// Timed result of the summary-engine comparison (pruning on in both).
@@ -651,8 +574,7 @@ fn main() {
     // scheduler churn, not the driver: skip those counts (the earlier
     // workers=4 row regressing on a 1-core runner was exactly this).
     // MC_BENCH_FORCE_WORKERS=1 keeps them — the only way to exercise the
-    // multicore rows on a 1-core CI runner; read the scheduler counters,
-    // not the wall clock, when forcing.
+    // multicore rows on a 1-core CI runner; expect parity, not speedups.
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -788,36 +710,13 @@ fn main() {
         md.wall_ms_compiled, md.attempts_compiled, md.speedup, md.reports
     );
 
-    // Fleet scale: generate the scale-10 corpus and check it cold, then
-    // race the two pool schedulers over it at four workers.
+    // Fleet scale: generate the scale-10 corpus and check it cold.
     const SCALE: usize = 10;
-    const SCHED_WORKERS: usize = 4;
-    let (sc, fleet_sources, fleet_specs) = bench_scale(SCALE, ip_jobs);
+    let sc = bench_scale(SCALE, ip_jobs);
     println!(
         "scale {SCALE}: {} protocols, {} functions, {} loc  gen={:8.1} ms  cold check={:8.1} ms  {} reports",
         sc.protocols, sc.functions, sc.loc, sc.gen_ms, sc.check_ms, sc.reports
     );
-
-    let sb = bench_scheduler(&fleet_sources, &fleet_specs, SCHED_WORKERS, REPS.min(2));
-    println!(
-        "sched fixed    wall={:8.1} ms  (workers={})",
-        sb.wall_ms_fixed, sb.workers
-    );
-    println!(
-        "sched stealing wall={:8.1} ms  {:.2}x vs fixed  ({} steals / {} probes, idle {:.1} ms, tasks/worker {:?})",
-        sb.wall_ms_stealing,
-        sb.speedup,
-        sb.stats.steals,
-        sb.stats.steal_attempts,
-        sb.stats.idle_ns as f64 / 1e6,
-        sb.stats.tasks_per_worker
-    );
-    if avail < SCHED_WORKERS {
-        println!(
-            "note: {avail} core(s) available — fixed-vs-stealing parity is expected here; \
-             the steal counters above are the evidence the scheduler is live"
-        );
-    }
 
     let json = Json::Object(vec![
         ("benchmark".into(), Json::Str("driver_throughput".into())),
@@ -989,54 +888,6 @@ fn main() {
                     Json::Float((sc.check_ms * 1e3).round() / 1e3),
                 ),
                 ("reports".into(), Json::Int(sc.reports as i64)),
-            ]),
-        ),
-        (
-            "scheduler".into(),
-            Json::Object(vec![
-                ("workers".into(), Json::Int(sb.workers as i64)),
-                ("corpus_scale".into(), Json::Int(SCALE as i64)),
-                (
-                    "wall_ms_fixed".into(),
-                    Json::Float((sb.wall_ms_fixed * 1e3).round() / 1e3),
-                ),
-                (
-                    "wall_ms_stealing".into(),
-                    Json::Float((sb.wall_ms_stealing * 1e3).round() / 1e3),
-                ),
-                (
-                    "speedup".into(),
-                    Json::Float((sb.speedup * 100.0).round() / 100.0),
-                ),
-                ("pools".into(), Json::Int(sb.stats.pools as i64)),
-                ("tasks".into(), Json::Int(sb.stats.tasks as i64)),
-                ("steals".into(), Json::Int(sb.stats.steals as i64)),
-                (
-                    "steal_attempts".into(),
-                    Json::Int(sb.stats.steal_attempts as i64),
-                ),
-                ("idle_ns".into(), Json::Int(sb.stats.idle_ns as i64)),
-                (
-                    "tasks_per_worker".into(),
-                    Json::Array(
-                        sb.stats
-                            .tasks_per_worker
-                            .iter()
-                            .map(|&t| Json::Int(t as i64))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "note".into(),
-                    Json::Str(if avail < SCHED_WORKERS {
-                        format!(
-                            "{avail} core(s) available: fixed-vs-stealing parity expected; \
-                             the steal counters document scheduler activity"
-                        )
-                    } else {
-                        "stealing vs fixed measured at full parallelism".into()
-                    }),
-                ),
             ]),
         ),
     ]);

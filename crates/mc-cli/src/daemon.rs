@@ -105,8 +105,8 @@ fn bind_socket(socket: &Path) -> Result<UnixListener, CliError> {
 }
 
 /// Runs the daemon on `socket` until a client sends `shutdown`. The
-/// options fix the checker suite, cache directory, and invalidation mode
-/// for every request this daemon will serve.
+/// options fix the checker suite and cache directory for every request
+/// this daemon will serve.
 ///
 /// # Errors
 ///
@@ -530,14 +530,6 @@ fn config_args(opts: &Options) -> Vec<std::ffi::OsString> {
         args.push("--cache-cap-bytes".into());
         args.push(cap.to_string().into());
     }
-    args.push("--invalidate".into());
-    args.push(
-        match opts.invalidate {
-            mc_driver::Invalidation::Function => "function",
-            mc_driver::Invalidation::Component => "component",
-        }
-        .into(),
-    );
     for file in &opts.files {
         args.push(file.into());
     }

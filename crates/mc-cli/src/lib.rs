@@ -21,7 +21,7 @@
 
 use mc_checkers::flash::FlashSpec;
 use mc_driver::cache::DiskCache;
-use mc_driver::{CheckEngine, Driver, Invalidation, MetalEngine, Report, RunStats, Severity};
+use mc_driver::{CheckEngine, Driver, Report, RunStats, Severity};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -63,11 +63,6 @@ pub struct Options {
     /// the output, and satisfiable witnesses whose solver model reproduces
     /// the violation in concrete replay are promoted to `confirmed`.
     pub refute: bool,
-    /// Metal execution engine (`--metal-engine compiled|interp`). The
-    /// compiled engine lowers each state machine to an indexed decision
-    /// program; the interpreter is kept as a differential oracle. Reports
-    /// are byte-identical either way.
-    pub metal_engine: MetalEngine,
     /// Write the corpus to this directory instead of checking.
     pub emit_corpus: Option<PathBuf>,
     /// Corpus seed.
@@ -86,11 +81,6 @@ pub struct Options {
     /// Bound the on-disk cache to this many bytes; the oldest record files
     /// are evicted when a store pushes the total over (`None`: unbounded).
     pub cache_cap_bytes: Option<u64>,
-    /// Granularity at which a dirty file's previous results are reused
-    /// (`--invalidate function|component`). Function is the default;
-    /// component keeps the coarser pre-function-index behavior as a
-    /// differential oracle. Reports are byte-identical either way.
-    pub invalidate: Invalidation,
     /// Keep running: poll the input files (mtime + content hash) and
     /// re-check on every change.
     pub watch: bool,
@@ -140,7 +130,6 @@ impl Default for Options {
             prune: true,
             interproc: false,
             refute: true,
-            metal_engine: MetalEngine::default(),
             emit_corpus: None,
             seed: mc_corpus::DEFAULT_SEED,
             format: Format::Text,
@@ -148,7 +137,6 @@ impl Default for Options {
             cache_dir: None,
             no_cache: false,
             cache_cap_bytes: None,
-            invalidate: Invalidation::default(),
             watch: false,
             watch_interval_ms: 500,
             watch_iterations: None,
@@ -199,12 +187,6 @@ usage: mcheck [OPTIONS] <file.c>...
                            and hidden; satisfiable ones whose solver model
                            reproduces the violation in concrete replay are
                            promoted to `confirmed` with the input attached
-  --metal-engine <compiled|interp>
-                           how metal state machines execute (default
-                           compiled: each sm is lowered to an indexed
-                           decision program; interp keeps the reference
-                           interpreter as a differential oracle — reports
-                           are byte-identical either way)
   --format <text|json|sarif>
                            report output format (default text); reports
                            are ordered most-likely-real first (descending
@@ -222,12 +204,6 @@ usage: mcheck [OPTIONS] <file.c>...
   --cache-cap-bytes <n>    bound the on-disk cache: evict the oldest
                            record files when a store pushes the total
                            size over n bytes (default unbounded)
-  --invalidate <function|component>
-                           granularity of cached-result reuse inside a
-                           dirty file (default function: red/green per
-                           function; component re-checks the whole file,
-                           kept as a differential oracle — reports are
-                           byte-identical either way)
   --watch                  keep running: poll the input files (mtime +
                            content hash) and re-check on every change;
                            bursts of edits inside one poll interval
@@ -311,14 +287,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
             "--no-interproc" => opts.interproc = false,
             "--refute" => opts.refute = true,
             "--no-refute" => opts.refute = false,
-            "--metal-engine" => {
-                let v = it
-                    .next()
-                    .ok_or(CliError("--metal-engine needs a value".into()))?;
-                opts.metal_engine = MetalEngine::parse(&v).ok_or_else(|| {
-                    CliError(format!("unknown metal engine `{v}` (compiled | interp)"))
-                })?;
-            }
             "--format" => {
                 let v = it.next().ok_or(CliError("--format needs a value".into()))?;
                 opts.format = Format::parse(&v).ok_or_else(|| {
@@ -350,20 +318,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
                         )))
                     }
                 }
-            }
-            "--invalidate" => {
-                let v = it
-                    .next()
-                    .ok_or(CliError("--invalidate needs a value".into()))?;
-                opts.invalidate = match v.as_str() {
-                    "function" => Invalidation::Function,
-                    "component" => Invalidation::Component,
-                    other => {
-                        return Err(CliError(format!(
-                            "unknown invalidation granularity `{other}` (function | component)"
-                        )))
-                    }
-                };
             }
             "--watch" => opts.watch = true,
             "--watch-interval" => {
@@ -503,7 +457,6 @@ pub fn build_driver(opts: &Options) -> Result<Driver, CliError> {
     driver.prune(opts.prune);
     driver.interproc(opts.interproc);
     driver.refute(opts.refute);
-    driver.set_metal_engine(opts.metal_engine);
     if let Some(n) = opts.jobs {
         driver.jobs(n);
     }
@@ -540,7 +493,7 @@ fn read_sources(files: &[PathBuf]) -> Result<Vec<(String, String)>, CliError> {
 ///
 /// Returns [`CliError`] if the cache directory cannot be created.
 pub fn engine_for(opts: &Options) -> Result<CheckEngine, CliError> {
-    let mut engine = match &opts.cache_dir {
+    Ok(match &opts.cache_dir {
         Some(dir) if !opts.no_cache => {
             let mut disk =
                 DiskCache::open(dir).map_err(|e| CliError(format!("{}: {e}", dir.display())))?;
@@ -548,9 +501,7 @@ pub fn engine_for(opts: &Options) -> Result<CheckEngine, CliError> {
             CheckEngine::with_disk(disk)
         }
         _ => CheckEngine::in_memory(),
-    };
-    engine.set_invalidation(opts.invalidate);
-    Ok(engine)
+    })
 }
 
 /// The engine a one-shot run uses: disk-backed under `--cache-dir`, none
@@ -1390,23 +1341,6 @@ mod cache_tests {
     }
 
     #[test]
-    fn invalidate_flag_parses() {
-        let o = args(&["--builtin", "a.c"]).unwrap();
-        assert_eq!(
-            o.invalidate,
-            Invalidation::Function,
-            "function granularity is the default"
-        );
-        let o = args(&["--builtin", "--invalidate", "component", "a.c"]).unwrap();
-        assert_eq!(o.invalidate, Invalidation::Component);
-        let o = args(&["--builtin", "--invalidate", "function", "a.c"]).unwrap();
-        assert_eq!(o.invalidate, Invalidation::Function);
-        assert!(args(&["--builtin", "--invalidate", "file", "a.c"]).is_err());
-        assert!(args(&["--builtin", "--invalidate"]).is_err());
-        assert!(USAGE.contains("--invalidate"));
-    }
-
-    #[test]
     fn daemon_socket_flag_parses() {
         let o = args(&[
             "--builtin",
@@ -1563,6 +1497,10 @@ mod cache_tests {
 #[cfg(test)]
 mod format_tests {
     use super::*;
+
+    fn args(s: &[&str]) -> Result<Options, CliError> {
+        parse_args(s.iter().map(|s| s.to_string()))
+    }
 
     #[test]
     fn format_flag_parses() {
@@ -1749,62 +1687,6 @@ mod format_tests {
         assert!(json.contains("\"line\":3"));
         let back: mc_driver::Report = mc_json::from_str(&json).unwrap();
         assert_eq!(back, r);
-    }
-}
-
-#[cfg(test)]
-mod metal_engine_tests {
-    use super::*;
-
-    fn args(s: &[&str]) -> Result<Options, CliError> {
-        parse_args(s.iter().map(|s| s.to_string()))
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mcheck_engine_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn metal_engine_flag_parses() {
-        let o = args(&["--builtin", "a.c"]).unwrap();
-        assert_eq!(
-            o.metal_engine,
-            MetalEngine::Compiled,
-            "compiled is the default"
-        );
-        let o = args(&["--builtin", "--metal-engine", "interp", "a.c"]).unwrap();
-        assert_eq!(o.metal_engine, MetalEngine::Interp);
-        let o = args(&["--builtin", "--metal-engine", "compiled", "a.c"]).unwrap();
-        assert_eq!(o.metal_engine, MetalEngine::Compiled);
-        assert!(args(&["--builtin", "--metal-engine", "jit", "a.c"]).is_err());
-        assert!(args(&["--builtin", "--metal-engine"]).is_err());
-        assert!(USAGE.contains("--metal-engine"));
-    }
-
-    #[test]
-    fn both_engines_produce_identical_reports() {
-        let dir = temp_dir("parity");
-        let src = dir.join("h.c");
-        std::fs::write(
-            &src,
-            "void h(void) { MISCBUS_READ_DB(a, b); DB_FREE(); DB_FREE(); }",
-        )
-        .unwrap();
-        let compiled = run(&args(&["--builtin", src.to_str().unwrap()]).unwrap()).unwrap();
-        let interp = run(&args(&[
-            "--builtin",
-            "--metal-engine",
-            "interp",
-            src.to_str().unwrap(),
-        ])
-        .unwrap())
-        .unwrap();
-        assert_eq!(compiled, interp);
-        assert!(!compiled.is_empty(), "the planted bugs are found");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A checker whose `limbo` state no rule ever reaches: loading it must

@@ -12,20 +12,18 @@
 //! way keeps cold and warm reports byte-identical.
 
 use crate::report::Report;
-use crate::sched::{SchedMode, SchedStats};
+use crate::sched::SchedStats;
 use crate::summaries::Summaries;
 use mc_ast::{parse_translation_unit, Fnv1a, Function, ParseError, TranslationUnit};
 use mc_cfg::{
     feasibility_stats, run_traversal_with, Cfg, FnSummary, Mode, SummaryLookup, Traversal,
 };
 use mc_metal::{
-    CompileError, CompiledMachine, CompiledProgram, MetalEngine, MetalMachine, MetalParseError,
-    MetalProgram, MetalReport,
+    CompileError, CompiledMachine, CompiledProgram, MetalParseError, MetalProgram, MetalReport,
 };
 use std::any::Any;
 use std::borrow::Borrow;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// An error from driving a check run.
@@ -432,18 +430,20 @@ pub(crate) struct UnitLocal {
 /// reports after promotion to `confirmed`, unit records carry their
 /// constant declarations, and per-component `confirm` records hold replay
 /// outcomes; a v7 program record would replay without promotions.
-pub const CACHE_FORMAT_VERSION: u32 = 8;
+///
+/// v9: the metal engine name left [`Driver::suite_key`] (one engine
+/// remains), so every suite key changed.
+pub const CACHE_FORMAT_VERSION: u32 = 9;
 
 /// The analysis driver: a set of checkers plus traversal settings.
 pub struct Driver {
-    metal: Vec<MetalProgram>,
-    /// Decision-program lowering of each entry of `metal`, index-aligned.
+    /// The registered metal programs, lowered to decision programs, in
+    /// registration order.
     compiled: Vec<CompiledProgram>,
     /// Where each metal program came from, when known, as `(source,
     /// origin path)`: load-time diagnostics point at the origin, and
     /// suppression comments are read from the source.
     metal_origins: Vec<Option<(String, String)>>,
-    metal_engine: MetalEngine,
     native: Vec<Box<dyn Checker>>,
     /// Path traversal mode used for metal machines.
     pub mode: Mode,
@@ -451,7 +451,6 @@ pub struct Driver {
     interproc: bool,
     refute: bool,
     jobs: Option<usize>,
-    sched: SchedMode,
     /// Scheduler counters accumulated across fan-outs; drained with
     /// [`Driver::take_sched_stats`]. Interior mutability because checking
     /// runs through `&self`.
@@ -467,7 +466,7 @@ impl fmt::Debug for Driver {
         f.debug_struct("Driver")
             .field(
                 "metal",
-                &self.metal.iter().map(|m| &m.name).collect::<Vec<_>>(),
+                &self.compiled.iter().map(|m| m.name()).collect::<Vec<_>>(),
             )
             .field(
                 "native",
@@ -478,7 +477,6 @@ impl fmt::Debug for Driver {
             .field("interproc", &self.interproc)
             .field("refute", &self.refute)
             .field("jobs", &self.jobs)
-            .field("sched", &self.sched)
             .finish()
     }
 }
@@ -494,17 +492,14 @@ impl Driver {
     /// feasibility pruning and the machine's available parallelism.
     pub fn new() -> Driver {
         Driver {
-            metal: Vec::new(),
             compiled: Vec::new(),
             metal_origins: Vec::new(),
-            metal_engine: MetalEngine::default(),
             native: Vec::new(),
             mode: Mode::StateSet,
             prune: true,
             interproc: false,
             refute: false,
             jobs: None,
-            sched: SchedMode::default(),
             sched_stats: Mutex::new(SchedStats::default()),
             suite: Fnv1a::new(),
             config_epoch: 0,
@@ -611,23 +606,6 @@ impl Driver {
         })
     }
 
-    /// Selects how the worker pool hands out task indices (default:
-    /// [`SchedMode::Stealing`]).
-    ///
-    /// The mode never affects output — results are merged in index order
-    /// either way — so, like `--jobs`, it is not part of
-    /// [`Driver::suite_key`]. [`SchedMode::Fixed`] is kept for A/B
-    /// benchmarking against the shared-counter pool.
-    pub fn scheduler(&mut self, mode: SchedMode) -> &mut Self {
-        self.sched = mode;
-        self
-    }
-
-    /// The scheduling mode the next check run will use.
-    pub fn scheduler_mode(&self) -> SchedMode {
-        self.sched
-    }
-
     /// Drains the scheduler counters accumulated since construction (or
     /// since the previous call), resetting them to zero.
     pub fn take_sched_stats(&self) -> SchedStats {
@@ -651,7 +629,6 @@ impl Driver {
         self.suite.write_str("metal-name:");
         self.suite.write_str(&prog.name);
         self.compiled.push(CompiledProgram::compile(&prog)?);
-        self.metal.push(prog);
         self.metal_origins.push(None);
         Ok(self)
     }
@@ -688,24 +665,8 @@ impl Driver {
         self.suite.write_str("metal-src:");
         self.suite.write_str(src);
         self.compiled.push(CompiledProgram::compile(&prog)?);
-        self.metal.push(prog);
         self.metal_origins.push(origin);
         Ok(self)
-    }
-
-    /// Selects the metal execution engine (default:
-    /// [`MetalEngine::Compiled`]).
-    ///
-    /// Both engines produce byte-identical reports; the interpreter is kept
-    /// as a differential oracle and for the dispatch benchmark.
-    pub fn set_metal_engine(&mut self, engine: MetalEngine) -> &mut Self {
-        self.metal_engine = engine;
-        self
-    }
-
-    /// The metal engine the next check run will use.
-    pub fn metal_engine(&self) -> MetalEngine {
-        self.metal_engine
     }
 
     /// The `(source, origin path)` of every metal checker registered via
@@ -798,21 +759,11 @@ impl Driver {
         // Refutation rewrites verdicts and confidences in place, so cached
         // records from a refuting and a non-refuting run must never alias.
         h.write_str(if self.refute { "refute" } else { "norefute" });
-        // The engines are differentially tested to produce identical
-        // reports, but cached results must still never alias across them:
-        // an engine bug would otherwise be masked (or unmasked) by whichever
-        // engine happened to fill the cache first.
-        h.write_str(self.metal_engine.as_str());
         h.finish()
     }
 
-    /// The registered metal programs, in registration order.
-    pub(crate) fn metal_programs(&self) -> &[MetalProgram] {
-        &self.metal
-    }
-
-    /// The compiled form of the registered metal programs, index-aligned
-    /// with [`Driver::metal_programs`].
+    /// The registered metal programs, lowered to decision programs, in
+    /// registration order.
     pub(crate) fn compiled_programs(&self) -> &[CompiledProgram] {
         &self.compiled
     }
@@ -841,7 +792,7 @@ impl Driver {
 
     /// Number of registered checkers (metal + native).
     pub fn checker_count(&self) -> usize {
-        self.metal.len() + self.native.len()
+        self.compiled.len() + self.native.len()
     }
 
     /// Checks a single source string.
@@ -896,36 +847,9 @@ impl Driver {
             return (0..n).map(f).collect();
         }
         let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-        let logs = match self.sched {
-            SchedMode::Stealing => crate::sched::run_stealing(n, workers, |i| {
-                let _ = slots[i].set(f(i));
-            }),
-            SchedMode::Fixed => {
-                let next = AtomicUsize::new(0);
-                let worker_logs: Vec<OnceLock<crate::sched::WorkerLog>> =
-                    (0..workers).map(|_| OnceLock::new()).collect();
-                std::thread::scope(|scope| {
-                    for slot in &worker_logs {
-                        scope.spawn(|| {
-                            let mut log = crate::sched::WorkerLog::default();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let _ = slots[i].set(f(i));
-                                log.executed += 1;
-                            }
-                            let _ = slot.set(log);
-                        });
-                    }
-                });
-                worker_logs
-                    .into_iter()
-                    .map(|s| s.into_inner().unwrap_or_default())
-                    .collect()
-            }
-        };
+        let logs = crate::sched::run_pool(n, workers, |i| {
+            let _ = slots[i].set(f(i));
+        });
         self.sched_stats
             .lock()
             .expect("sched stats lock")
@@ -985,36 +909,19 @@ impl Driver {
             summaries,
         };
         let mut metal = Vec::new();
-        match self.metal_engine {
-            MetalEngine::Compiled => {
-                // One extraction walk serves every compiled program's plan.
-                let refs: Vec<&mc_metal::CompiledProgram> = self.compiled.iter().collect();
-                let plans = mc_metal::CandidatePlan::build_many(&refs, cfg);
-                for (cp, plan) in self.compiled.iter().zip(&plans) {
-                    let mut machine = CompiledMachine::with_plan(cp, plan);
-                    let init = machine.start_state();
-                    run_traversal_with(cfg, &mut machine, init, traversal, oracle);
-                    metal.extend(
-                        machine
-                            .reports
-                            .iter()
-                            .map(|r| convert_metal_report(r, &unit.unit.file, &function.name)),
-                    );
-                }
-            }
-            MetalEngine::Interp => {
-                for prog in &self.metal {
-                    let mut machine = MetalMachine::new(prog);
-                    let init = machine.start_state();
-                    run_traversal_with(cfg, &mut machine, init, traversal, oracle);
-                    metal.extend(
-                        machine
-                            .reports
-                            .iter()
-                            .map(|r| convert_metal_report(r, &unit.unit.file, &function.name)),
-                    );
-                }
-            }
+        // One extraction walk serves every compiled program's plan.
+        let refs: Vec<&CompiledProgram> = self.compiled.iter().collect();
+        let plans = mc_metal::CandidatePlan::build_many(&refs, cfg);
+        for (cp, plan) in self.compiled.iter().zip(&plans) {
+            let mut machine = CompiledMachine::with_plan(cp, plan);
+            let init = machine.start_state();
+            run_traversal_with(cfg, &mut machine, init, traversal, oracle);
+            metal.extend(
+                machine
+                    .reports
+                    .iter()
+                    .map(|r| convert_metal_report(r, &unit.unit.file, &function.name)),
+            );
         }
         let mut native: Vec<CheckSink> = self
             .native
@@ -1403,7 +1310,7 @@ mod tests {
     use super::*;
     use crate::report::Severity;
     use mc_ast::Span;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     const SM: &str = r#"

@@ -62,8 +62,7 @@ pub use driver::{
     call_components, call_info, CallInfo, CheckSink, CheckedUnit, Checker, Driver, DriverError,
     Fact, FunctionContext, ProgramContext, CACHE_FORMAT_VERSION,
 };
-pub use mc_metal::MetalEngine;
-pub use query::{CheckEngine, Invalidation, Query, RunStats};
+pub use query::{CheckEngine, Query, RunStats};
 pub use report::{Report, Severity, Verdict};
-pub use sched::{SchedMode, SchedStats};
+pub use sched::SchedStats;
 pub use summaries::{Summaries, SummaryStats};

@@ -8,27 +8,27 @@
 //! phase's queries are fanned out over the driver's worker pool, so the
 //! pool schedules *queries*, not units.
 //!
-//! Invalidation is four-tiered, coarse to fine:
+//! The engine invalidates in four tiers, coarse to fine:
 //!
 //! 1. **Program** — a key over the suite key plus every unit's source hash.
 //!    A hit returns the final report vector without parsing anything.
 //! 2. **Unit** — each unit's local reports, keyed by its raw source text
 //!    (fast path) with a parsed-AST fallback that survives edits displacing
 //!    no token (trailing whitespace, comment-only changes).
-//! 3. **Function** (the default, [`Invalidation::Function`]) — a dirty
-//!    unit is *diffed* against its per-function dependency index
-//!    ([`FnIndexRecord`]): every function is re-fingerprinted, and a
-//!    function is **green** — its cached report slice replays verbatim —
-//!    when its body fingerprint, its unit's environment hash, and every
-//!    read it recorded at check time (same-unit callee bodies for witness
-//!    refutation, callee summary content hashes under interprocedural
-//!    resolution) are unchanged. Everything else is **red** and re-runs as
-//!    a per-function [`Query::Check`] node, which records a fresh
-//!    dependency edge set. An edit to one handler body re-checks a handful
-//!    of functions, not a 300-function component.
-//!    `--invalidate component` disables this tier and re-checks whole
-//!    dirty units — the differential oracle; both modes are byte-identical
-//!    to a cold batch run by contract.
+//! 3. **Function** — a dirty unit is *diffed* against its per-function
+//!    dependency index ([`FnIndexRecord`]): every function is
+//!    re-fingerprinted, and a function is **green** — its cached report
+//!    slice replays verbatim — when its body fingerprint, its unit's
+//!    environment hash, and every read it recorded at check time
+//!    (same-unit callee bodies for witness refutation, callee summary
+//!    content hashes under interprocedural resolution) are unchanged.
+//!    Everything else is **red** and re-runs as a per-function
+//!    [`Query::Check`] node, which records a fresh dependency edge set. An
+//!    edit to one handler body re-checks a handful of functions, not a
+//!    300-function component. A registered checker that declares
+//!    [`Checker::unit_sensitive`](crate::Checker::unit_sensitive) disables
+//!    this tier: dirty units then re-check whole, byte-identical to a cold
+//!    batch run either way.
 //! 4. **Component** — program passes re-run per call-graph component
 //!    whenever any member unit changed (see
 //!    [`call_components`](crate::call_components)); clean components replay
@@ -91,20 +91,6 @@ pub enum Query {
         /// Function index within the unit, in definition order.
         function: usize,
     },
-}
-
-/// The granularity at which a dirty file's previous results are reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Invalidation {
-    /// Red/green per function (the default): a dirty unit replays every
-    /// function whose fingerprints and recorded reads are unchanged and
-    /// re-checks only the red remainder.
-    #[default]
-    Function,
-    /// Re-check every function of a dirty unit — the pre-function-index
-    /// behavior, kept as the differential oracle. Byte-identical output by
-    /// contract.
-    Component,
 }
 
 /// A parsed unit with its CFGs and AST fingerprint, shared between memo
@@ -189,8 +175,6 @@ pub struct RunStats {
 #[derive(Debug, Default)]
 pub struct CheckEngine {
     disk: Option<DiskCache>,
-    /// Invalidation granularity for dirty units.
-    invalidation: Invalidation,
     /// When `Some((i, n))`, this engine is shard `i` of `n`: it runs local
     /// checks only for dirty units it owns (unit-fingerprint hash mod
     /// `n`), skips whole-program passes, and never writes a program
@@ -253,20 +237,6 @@ impl CheckEngine {
     /// The disk cache, if one is attached.
     pub fn disk(&self) -> Option<&DiskCache> {
         self.disk.as_ref()
-    }
-
-    /// Sets the invalidation granularity (default
-    /// [`Invalidation::Function`]). Both modes produce byte-identical
-    /// reports; [`Invalidation::Component`] re-checks whole dirty units
-    /// and exists as the differential oracle.
-    pub fn set_invalidation(&mut self, mode: Invalidation) -> &mut Self {
-        self.invalidation = mode;
-        self
-    }
-
-    /// The configured invalidation granularity.
-    pub fn invalidation(&self) -> Invalidation {
-        self.invalidation
     }
 
     /// Puts the engine in shard mode (`Some((i, n))`, `i < n`) or back to
@@ -475,20 +445,15 @@ impl CheckEngine {
                 s
             }
             None => {
-                let s = if self.invalidation == Invalidation::Function {
-                    // Function granularity extends to summaries: whole SCCs
-                    // whose members and callee inputs are unchanged replay
-                    // from the per-function memo instead of re-running
-                    // every checker's summarize pass.
-                    Summaries::compute_incremental(
-                        driver,
-                        members,
-                        driver.interproc_enabled(),
-                        &mut self.fn_summaries,
-                    )
-                } else {
-                    Summaries::compute(driver, members, driver.interproc_enabled())
-                };
+                // Whole SCCs whose members and callee inputs are unchanged
+                // replay from the per-function memo instead of re-running
+                // every checker's summarize pass.
+                let s = Summaries::compute_incremental(
+                    driver,
+                    members,
+                    driver.interproc_enabled(),
+                    &mut self.fn_summaries,
+                );
                 if self.disk.is_some() {
                     written.push(SummaryRecord {
                         key,
@@ -735,11 +700,9 @@ impl CheckEngine {
         }
 
         // Tier 3: local pass for genuinely changed units — red/green per
-        // function by default, whole-unit under `--invalidate component`
-        // or when a custom checker reads the unit beyond what the function
-        // index fingerprints.
-        let function_mode =
-            self.invalidation == Invalidation::Function && !driver.has_unit_sensitive_checkers();
+        // function, or whole-unit when a custom checker reads the unit
+        // beyond what the function index fingerprints.
+        let function_mode = !driver.has_unit_sensitive_checkers();
         stats.units_checked = dirty.len();
         let mut dirty_facts: HashMap<usize, Vec<Vec<Fact>>> = HashMap::new();
         if !dirty.is_empty() {

@@ -363,26 +363,10 @@ fn summarize_def(
     };
     let transfers = with_transfers && !cyclic;
     if transfers {
-        // Transfers run under the same engine as the local passes, so a
-        // differential run exercises the compiled summary path too (both
-        // engines compute identical transfer maps).
-        match driver.metal_engine() {
-            mc_metal::MetalEngine::Compiled => {
-                for cp in driver.compiled_programs() {
-                    let t =
-                        mc_metal::compute_transfers_compiled(cp, def.cfg, traversal, Some(store));
-                    if !t.is_empty() {
-                        summary.transfers.insert(cp.name().to_string(), t);
-                    }
-                }
-            }
-            mc_metal::MetalEngine::Interp => {
-                for prog in driver.metal_programs() {
-                    let t = mc_metal::compute_transfers(prog, def.cfg, traversal, Some(store));
-                    if !t.is_empty() {
-                        summary.transfers.insert(prog.name.clone(), t);
-                    }
-                }
+        for cp in driver.compiled_programs() {
+            let t = mc_metal::compute_transfers_compiled(cp, def.cfg, traversal, Some(store));
+            if !t.is_empty() {
+                summary.transfers.insert(cp.name().to_string(), t);
             }
         }
     }

@@ -60,7 +60,7 @@ mod parse;
 
 pub use compile::{
     compute_transfers_compiled, CandidatePlan, CompileDiag, CompileDiagKind, CompileError,
-    CompiledMachine, CompiledProgram, MetalEngine,
+    CompiledMachine, CompiledProgram,
 };
 pub use engine::{compute_transfers, MetalMachine, MetalReport};
 pub use lang::{

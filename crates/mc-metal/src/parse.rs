@@ -663,4 +663,34 @@ mod tests {
             PatternKind::Stmt(_)
         ));
     }
+
+    /// Fragments go through `mc_ast`'s depth-limited parser, and action
+    /// arguments are skipped with a counter, so nesting far past the C
+    /// parser's limit never overflows the stack.
+    #[test]
+    fn deep_nesting_is_an_error() {
+        const DEPTH: usize = 100_000;
+        let (open, close) = ("(".repeat(DEPTH), ")".repeat(DEPTH));
+        let parens = format!("sm x {{ start: {{ f({open}a{close}) }} ==> stop ; }}");
+        let err = MetalProgram::parse(&parens).unwrap_err();
+        assert!(err.message.contains("nested deeper than"), "{err}");
+
+        let (open, close) = ("{".repeat(DEPTH), "}".repeat(DEPTH));
+        let braces =
+            format!("sm x {{ start: {{ if (a) {open} f(); {close} else f(); }} ==> stop ; }}");
+        let err = MetalProgram::parse(&braces).unwrap_err();
+        assert!(err.message.contains("nested deeper than"), "{err}");
+
+        // Extra action arguments are skipped, not parsed: balanced ones of
+        // any depth are accepted, unbalanced ones are an error.
+        let (open, close) = ("(".repeat(DEPTH), ")".repeat(DEPTH));
+        let action =
+            |arg: &str| format!("sm x {{ start: {{ f(); }} ==> {{ err(\"m\", {arg}); }} ; }}");
+        assert!(MetalProgram::parse(&action(&format!("{open}a{close}"))).is_ok());
+        let err = MetalProgram::parse(&action(&format!("{open}a"))).unwrap_err();
+        assert!(
+            err.message.contains("unterminated action argument"),
+            "{err}"
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //! byte-identical to the interpreter — same messages, same spans, same
 //! witness paths, same order — and the same number of rule applications.
 //!
-//! This is the oracle that keeps `--metal-engine compiled` honest: the
+//! This is the oracle that keeps the compiled engine honest: the
 //! interpreter is the semantics, the compiler is only allowed to be faster.
 
 use mc_ast::parse_translation_unit;

@@ -300,20 +300,17 @@ manifesting at run time, reproducing the paper's motivation:
 The paper checked one ~80 K-line protocol suite; DESIGN.md §16 scales
 the reproduction out. `mcheck --emit-corpus <dir> --scale 10` generates
 a 10-family fleet (family 0 is byte-identical to the seed corpus above,
-so every table here is unaffected), the driver schedules workers with an
-in-tree work-stealing deque, and `--shard i/N` + `mcheck merge` split a
+so every table here is unaffected), the driver's workers share one
+atomic task counter, and `--shard i/N` + `mcheck merge` split a
 check across processes sharing one cache with byte-identical folded
 output (`tests/shard.rs` pins the {1,2,4}-shard × {1,4}-job matrix;
 `scripts/shard_equivalence.sh` holds it in CI over both corpora).
 Measured fleet numbers from `BENCH_driver.json` (`cargo run --release
--p mc-bench --bin perf`; single-core CI shows wall-clock parity between
-the fixed and stealing pools, with the steal counters as evidence the
-scheduler is live):
+-p mc-bench --bin perf`):
 
 EOF
 echo '```json'
 sed -n '/"scale": {/,/^  }/p' BENCH_driver.json
-sed -n '/"scheduler": {/,/^  }/p' BENCH_driver.json
 echo '```'
 cat <<'EOF'
 

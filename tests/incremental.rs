@@ -11,7 +11,7 @@ use flash_mc::checkers::all_checkers;
 use flash_mc::corpus::plan::PLANS;
 use flash_mc::corpus::{generate, DEFAULT_SEED};
 use flash_mc::driver::cache::DiskCache;
-use flash_mc::driver::{CheckEngine, Driver, Report};
+use flash_mc::driver::{CheckEngine, CheckSink, Checker, Driver, FunctionContext, Report};
 
 fn corpus_sources(
     plan_idx: usize,
@@ -299,37 +299,65 @@ fn invalidation_matrix_byte_identical_across_jobs() {
     }
 }
 
-/// The component-replay oracle (`--invalidate component`) walks the same
-/// matrix and must agree with function-granular invalidation step for
-/// step — the differential contract that keeps the fast path honest.
+/// A native checker that reports nothing but declares itself
+/// [`unit_sensitive`](Checker::unit_sensitive): registering it turns the
+/// engine's function-granular tier off, so dirty units re-check whole.
+struct UnitSensitive;
+
+impl Checker for UnitSensitive {
+    fn name(&self) -> &str {
+        "unit_sensitive_probe"
+    }
+
+    fn check_function(&self, _ctx: &FunctionContext<'_>, _sink: &mut CheckSink) {}
+
+    fn unit_sensitive(&self) -> bool {
+        true
+    }
+}
+
+/// The whole-unit oracle — the same suite plus a unit-sensitive checker
+/// that emits nothing — walks the same matrix and must agree with
+/// function-granular invalidation step for step, replaying no function on
+/// any step that re-checks a unit.
 #[test]
 fn component_oracle_matches_function_invalidation_step_for_step() {
-    use flash_mc::driver::Invalidation;
-
     let (sources, spec) = corpus_sources(0);
     let driver = interproc_driver(&spec, 4);
+    let mut oracle_driver = interproc_driver(&spec, 4);
+    oracle_driver.add_checker(Box::new(UnitSensitive));
     let base_sources = with_probes(&sources, &PROBE_BASE);
 
     let mut fine = CheckEngine::in_memory();
     let mut oracle = CheckEngine::in_memory();
-    oracle.set_invalidation(Invalidation::Component);
 
     let (a, _) = fine.check_sources(&driver, &base_sources).expect("parses");
     let (b, _) = oracle
-        .check_sources(&driver, &base_sources)
+        .check_sources(&oracle_driver, &base_sources)
         .expect("parses");
     assert_eq!(a, b, "prime diverged between invalidation modes");
 
     for (label, edit) in &MATRIX {
         let step = with_probes(&sources, edit);
         let (fine_reports, fine_stats) = fine.check_sources(&driver, &step).expect("parses");
-        let (oracle_reports, _) = oracle.check_sources(&driver, &step).expect("parses");
+        let (oracle_reports, oracle_stats) =
+            oracle.check_sources(&oracle_driver, &step).expect("parses");
         assert_eq!(
             fine_reports, oracle_reports,
-            "step={label}: function-granular and component invalidation \
-             disagreed ({fine_stats:?})"
+            "step={label}: function-granular and whole-unit invalidation \
+             disagreed ({fine_stats:?} vs {oracle_stats:?})"
         );
         assert_eq!(rendered(&fine_reports), rendered(&oracle_reports));
+        if matches!(*label, "body-only" | "signature" | "callee-summary") {
+            assert!(
+                oracle_stats.units_checked >= 1 && oracle_stats.functions_replayed == 0,
+                "step={label}: the oracle must re-check whole units, got {oracle_stats:?}"
+            );
+            assert!(
+                fine_stats.functions_replayed > 0,
+                "step={label}: the fast path must replay functions, got {fine_stats:?}"
+            );
+        }
     }
 }
 
